@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 45s
 
-.PHONY: build test vet race check lint fuzz bench-replay bench bench-gate bench-go arena arena-gate daemon-smoke
+.PHONY: build test vet race perfbench check lint fuzz bench-replay bench bench-gate bench-go arena arena-gate daemon-smoke
 
 build:
 	$(GO) build ./...
@@ -18,8 +18,15 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is the PR gate: vet + race-checked tests.
-check: vet race
+# perfbench vets and self-tests the benchmark harness: a nested module
+# (perfbench/go.mod) that the root ./... patterns skip, compiled
+# against the controlserver and engine APIs.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# check is the PR gate: vet + race-checked tests, plus the benchmark
+# harness build.
+check: vet race perfbench
 
 # lint runs the CI linter set (.golangci.yml: errcheck, govet,
 # staticcheck, unused). Requires golangci-lint on PATH; CI installs it

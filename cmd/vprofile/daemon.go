@@ -5,8 +5,9 @@ package main
 // flag set (RegisterFlags) so the knobs that configure a batch
 // `vprofile detect` configure a daemon bus with the same names and
 // defaults — flag parity is structural. Flags that only make sense
-// in-process (-metrics, -events, -incidents, -model-watch) are
-// rejected with an explanation instead of silently ignored.
+// in-process (-metrics, -events, -incidents, -model-watch) and -workers
+// (every daemon bus shares the daemon's worker pool) are rejected with
+// an explanation instead of silently ignored.
 
 import (
 	"context"
@@ -47,11 +48,12 @@ func cmdAttach(args []string) error {
 		return errors.New("attach: -incidents is not available in daemon mode")
 	case fl.ModelWatch != 0:
 		return errors.New("attach: -model-watch is not available in daemon mode (use `vprofile swap` via the API or a policy reload)")
+	case fl.Workers != 0:
+		return errors.New("attach: -workers is not available in daemon mode (every bus shares the daemon's worker pool, sized by GOMAXPROCS)")
 	}
 
 	spec := controlapi.BusSpec{
-		Bus: *bus, Listen: *listen, Model: fl.Model,
-		Workers: fl.Workers, Batch: fl.Batch,
+		Bus: *bus, Listen: *listen, Model: fl.Model, Batch: fl.Batch,
 		Quarantine: fl.Quarantine, Recover: fl.Recover, Drift: fl.Drift,
 		FlightDir: fl.FlightDir,
 	}

@@ -46,7 +46,6 @@ type BusSpec struct {
 	// file's directory when relative).
 	Model string `json:"model"`
 
-	Workers int  `json:"workers,omitempty"`
 	Batch   int  `json:"batch,omitempty"`
 	Recover bool `json:"recover,omitempty"`
 

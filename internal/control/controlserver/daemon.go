@@ -1,10 +1,12 @@
-// Package controlserver hosts the vprofiled runtime: the set of
-// attached buses (each a listener feeding engine sessions), the fleet
-// policy lifecycle (load, hot reload, diff application), the alarm
-// hub behind the event subscription, and the HTTP control API on top
-// (server.go). The split from controlapi/controlclient keeps the
-// daemon the only place with engine wiring; clients speak wire types
-// only.
+// Package controlserver hosts the vprofiled runtime: the fleet policy
+// lifecycle (load, hot reload, diff application), each attached bus's
+// ingest listener and tally, the alarm hub behind the event
+// subscription, and the HTTP control API on top (server.go). Every
+// feed runs as a member of one engine.Fleet, which owns the models,
+// the shared worker pool and the event outlet the hub and the
+// alarms.events mirror subscribe to. The split from
+// controlapi/controlclient keeps the daemon the only place with engine
+// wiring; clients speak wire types only.
 package controlserver
 
 import (
@@ -24,7 +26,6 @@ import (
 	"vprofile/internal/engine"
 	"vprofile/internal/ids"
 	"vprofile/internal/obs"
-	"vprofile/internal/obs/drift"
 	"vprofile/internal/trace"
 )
 
@@ -41,11 +42,12 @@ type Config struct {
 }
 
 // Daemon is the control-plane root: bus registry, policy state, alarm
-// hub. All methods are safe for concurrent use — the HTTP layer calls
-// straight in.
+// hub, over the fleet every feed runs on. All methods are safe for
+// concurrent use — the HTTP layer calls straight in.
 type Daemon struct {
 	logf    func(format string, args ...any)
 	baseDir string
+	fleet   *engine.Fleet
 	hub     *eventHub
 	mirror  *obs.EventLog // optional JSONL alarm mirror (policy alarms.events)
 
@@ -72,19 +74,27 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Policy != nil && cfg.Policy.Alarms.Buffer > 0 {
 		buffer = cfg.Policy.Alarms.Buffer
 	}
+	fleet, err := engine.NewFleet(nil)
+	if err != nil {
+		return nil, err
+	}
 	d := &Daemon{
 		logf:    logf,
 		baseDir: baseDir,
+		fleet:   fleet,
 		hub:     newEventHub(buffer),
 		buses:   map[string]*busRun{},
 	}
+	fleet.Subscribe(d.hub.Publish)
 	if cfg.Policy != nil {
 		if cfg.Policy.Alarms.Events != "" {
 			mirror, err := obs.CreateEventLog(cfg.Policy.Alarms.Events)
 			if err != nil {
+				_ = fleet.Close()
 				return nil, fmt.Errorf("alarms.events: %w", err)
 			}
 			d.mirror = mirror
+			fleet.Subscribe(func(e obs.Event) { _ = mirror.Emit(e) })
 		}
 		if _, err := d.ApplyPolicy(cfg.Policy); err != nil {
 			d.Drain(2 * time.Second)
@@ -94,70 +104,53 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// publish fans one event out to the subscription hub and the optional
-// JSONL mirror.
-func (d *Daemon) publish(e obs.Event) {
-	d.hub.Publish(e)
-	if d.mirror != nil {
-		_ = d.mirror.Emit(e)
-	}
-}
-
 // Events is the long-poll subscription read (see eventHub.Poll).
 func (d *Daemon) Events(after uint64, max int, wait time.Duration) controlapi.EventsResponse {
 	return d.hub.Poll(after, max, wait)
 }
 
-// resolvePath anchors a relative path against the policy directory
-// (when a policy is loaded) or the daemon's base directory.
+// pathDir is what relative paths resolve against: the policy
+// directory when a policy is loaded, else the daemon's base directory.
+func (d *Daemon) pathDir() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.policy != nil && d.policy.Dir != "" {
+		return d.policy.Dir
+	}
+	return d.baseDir
+}
+
+// resolvePath anchors a relative path at pathDir.
 func (d *Daemon) resolvePath(p string) string {
 	if p == "" || filepath.IsAbs(p) {
 		return p
 	}
-	d.mu.Lock()
-	dir := d.baseDir
-	if d.policy != nil && d.policy.Dir != "" {
-		dir = d.policy.Dir
-	}
-	d.mu.Unlock()
-	return filepath.Join(dir, p)
+	return filepath.Join(d.pathDir(), p)
 }
 
-// Attach brings one bus up: validate the spec, load its model, bind
-// its ingest listener, start its accept loop.
+// Attach brings one bus up: validate the spec, load its model into the
+// fleet, bind its ingest listener, start its accept loop.
 func (d *Daemon) Attach(spec controlapi.BusSpec) (controlapi.BusStatus, error) {
 	d.mu.Lock()
-	if d.draining {
-		d.mu.Unlock()
+	draining, dup := d.draining, d.buses[spec.Bus] != nil
+	d.mu.Unlock()
+	switch {
+	case draining:
 		return controlapi.BusStatus{}, errors.New("daemon is draining")
-	}
-	if _, dup := d.buses[spec.Bus]; dup {
-		d.mu.Unlock()
+	case dup:
 		return controlapi.BusStatus{}, fmt.Errorf("bus %q is already attached", spec.Bus)
 	}
-	d.mu.Unlock()
-
-	dir := d.baseDir
-	d.mu.Lock()
-	if d.policy != nil && d.policy.Dir != "" {
-		dir = d.policy.Dir
-	}
-	d.mu.Unlock()
-	if err := control.ValidateSpec(&spec, dir); err != nil {
+	if err := control.ValidateSpec(&spec, d.pathDir()); err != nil {
 		return controlapi.BusStatus{}, err
 	}
 
+	// The fleet holds one model per bus, so a concurrent attach of the
+	// same name fails in startBus.
 	b, err := d.startBus(spec)
 	if err != nil {
 		return controlapi.BusStatus{}, err
 	}
 	d.mu.Lock()
-	if _, dup := d.buses[spec.Bus]; dup {
-		d.mu.Unlock()
-		b.stop()
-		<-b.loopDone
-		return controlapi.BusStatus{}, fmt.Errorf("bus %q is already attached", spec.Bus)
-	}
 	d.buses[spec.Bus] = b
 	d.order = append(d.order, spec.Bus)
 	d.mu.Unlock()
@@ -190,9 +183,9 @@ func (d *Daemon) Detach(bus string, timeout time.Duration) (controlapi.BusStatus
 	return st, nil
 }
 
-// Swap hot-swaps one bus's model mid-stream through its ModelStore;
-// in-flight frames score against old or new, never a mix, and no
-// frame is dropped.
+// Swap hot-swaps one bus's model mid-stream through its fleet model
+// store; in-flight frames score against old or new, never a mix, and
+// no frame is dropped.
 func (d *Daemon) Swap(bus, model string) (controlapi.SwapResponse, error) {
 	d.mu.Lock()
 	b, ok := d.buses[bus]
@@ -200,12 +193,7 @@ func (d *Daemon) Swap(bus, model string) (controlapi.SwapResponse, error) {
 	if !ok {
 		return controlapi.SwapResponse{}, fmt.Errorf("bus %q is not attached", bus)
 	}
-	path := d.resolvePath(model)
-	m, err := engine.LoadModelFile(path)
-	if err != nil {
-		return controlapi.SwapResponse{}, err
-	}
-	v, err := b.store.Swap(m)
+	v, err := b.store.SwapFile(d.resolvePath(model))
 	if err != nil {
 		return controlapi.SwapResponse{}, err
 	}
@@ -422,6 +410,7 @@ func (d *Daemon) Drain(timeout time.Duration) int {
 			d.logf("bus %s: final tally: no frames ingested", st.Bus)
 		}
 	}
+	_ = d.fleet.Close()
 	if d.mirror != nil {
 		_ = d.mirror.Close(nil)
 	}
@@ -433,18 +422,18 @@ func (d *Daemon) Drain(timeout time.Duration) int {
 	return 0
 }
 
-// busRun is one attached bus: its ingest listener, model store, and
-// the engine session currently streaming (at most one feed at a time;
-// later feeds queue on the listener's accept backlog).
+// busRun is one attached bus: its ingest listener, its fleet model
+// store, and the fleet member currently streaming (at most one feed at
+// a time; later feeds queue on the listener's accept backlog).
 type busRun struct {
-	d         *Daemon
-	scheme    string
-	ingest    string
-	modelPath string
-	store     *engine.ModelStore
-	ln        net.Listener          // tcp/unix
-	dg        *trace.DatagramReader // udp
-	loopDone  chan struct{}
+	d        *Daemon
+	bus      string
+	scheme   string
+	ingest   string
+	store    *engine.ModelStore
+	ln       net.Listener          // tcp/unix
+	dg       *trace.DatagramReader // udp
+	loopDone chan struct{}
 
 	mu       sync.Mutex
 	spec     controlapi.BusSpec
@@ -460,56 +449,41 @@ type busRun struct {
 	lastSum  *engine.Summary
 }
 
-// startBus loads the model, binds the listener and starts the accept
-// loop. The spec is assumed validated.
+// startBus loads the bus's model into the fleet, binds the listener
+// and starts the accept loop. The spec is assumed validated.
 func (d *Daemon) startBus(spec controlapi.BusSpec) (*busRun, error) {
 	scheme, addr, err := controlapi.ParseListen(spec.Listen)
 	if err != nil {
 		return nil, err
 	}
-	modelPath := d.resolvePath(spec.Model)
-	m, err := engine.LoadModelFile(modelPath)
-	if err != nil {
-		return nil, err
-	}
-	store, err := engine.NewModelStore(m)
+	store, err := d.fleet.LoadModel(spec.Bus, d.resolvePath(spec.Model))
 	if err != nil {
 		return nil, err
 	}
 	b := &busRun{
-		d: d, scheme: scheme, modelPath: modelPath, store: store,
+		d: d, bus: spec.Bus, scheme: scheme, store: store,
 		spec: spec, state: controlapi.BusWaiting, loopDone: make(chan struct{}),
 	}
-	bus := spec.Bus
-	store.OnSwap(func(sm engine.StoredModel) {
-		d.publish(obs.Event{
-			Kind: obs.EventModelSwap, Bus: bus, Severity: obs.SeverityInfo,
-			Detail: fmt.Sprintf("model version %d", sm.Version),
-		})
-	})
 	switch scheme {
 	case controlapi.SchemeUDP:
-		pc, err := net.ListenPacket("udp", addr)
-		if err != nil {
-			return nil, err
+		var pc net.PacketConn
+		if pc, err = net.ListenPacket("udp", addr); err == nil {
+			b.dg = trace.NewDatagramReader(pc)
+			b.ingest = pc.LocalAddr().String()
 		}
-		b.dg = trace.NewDatagramReader(pc)
-		b.ingest = pc.LocalAddr().String()
 	case controlapi.SchemeUnix:
 		cleanStaleSocket(addr)
-		ln, err := net.Listen("unix", addr)
-		if err != nil {
-			return nil, err
+		if b.ln, err = net.Listen("unix", addr); err == nil {
+			b.ingest = addr
 		}
-		b.ln = ln
-		b.ingest = addr
 	default:
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return nil, err
+		if b.ln, err = net.Listen("tcp", addr); err == nil {
+			b.ingest = b.ln.Addr().String()
 		}
-		b.ln = ln
-		b.ingest = ln.Addr().String()
+	}
+	if err != nil {
+		d.fleet.Detach(spec.Bus)
+		return nil, err
 	}
 	go b.loop()
 	return b, nil
@@ -549,8 +523,8 @@ func (b *busRun) loop() {
 	}
 }
 
-// serveStream runs one feed through an engine session until the feed
-// ends (EOF, error, or a stop at the next record boundary).
+// serveStream runs one feed as a fleet member until the feed ends
+// (EOF, error, or a stop at the next record boundary).
 func (b *busRun) serveStream(name string, rc io.ReadCloser, gaps func() trace.GapStats) {
 	src, err := engine.NewStreamSource(name, rc)
 	if err != nil {
@@ -561,7 +535,7 @@ func (b *busRun) serveStream(name string, rc io.ReadCloser, gaps func() trace.Ga
 		}
 		b.mu.Unlock()
 		if !stopping {
-			b.d.logf("bus %s: feed %s rejected: %v", b.busName(), name, err)
+			b.d.logf("bus %s: feed %s rejected: %v", b.bus, name, err)
 		}
 		return
 	}
@@ -569,12 +543,21 @@ func (b *busRun) serveStream(name string, rc io.ReadCloser, gaps func() trace.Ga
 		src.SetGapStats(gaps)
 	}
 	tally := engine.NewTally()
-	sess := engine.NewSession("", b.sessionOptions(src)...)
 
 	b.mu.Lock()
 	if b.stopping {
 		b.mu.Unlock()
 		src.Close()
+		return
+	}
+	// Attach under the bus lock, so a concurrent stop either sees the
+	// member (and stops it) or is seen above.
+	sess, err := b.d.fleet.Attach(b.bus, src, b.memberOptions(b.spec)...)
+	if err != nil {
+		b.lastErr = err.Error()
+		b.mu.Unlock()
+		_ = src.Close()
+		b.d.logf("bus %s: feed %s rejected: %v", b.bus, name, err)
 		return
 	}
 	b.sessions++
@@ -583,7 +566,7 @@ func (b *busRun) serveStream(name string, rc io.ReadCloser, gaps func() trace.Ga
 	b.tally = tally
 	b.state = controlapi.BusStreaming
 	b.mu.Unlock()
-	b.d.logf("bus %s: feed %s streaming", b.busName(), name)
+	b.d.logf("bus %s: feed %s streaming", b.bus, name)
 
 	sum, err := sess.Run(b.sink(tally))
 
@@ -604,65 +587,38 @@ func (b *busRun) serveStream(name string, rc io.ReadCloser, gaps func() trace.Ga
 	}
 	b.mu.Unlock()
 	if err != nil {
-		b.d.logf("bus %s: feed %s ended with error: %v", b.busName(), name, err)
+		b.d.logf("bus %s: feed %s ended with error: %v", b.bus, name, err)
 	} else {
 		b.d.logf("bus %s: feed %s done: %d records in %.2fs",
-			b.busName(), name, sum.Stats.RecordsOut, sum.Stats.WallTime.Seconds())
+			b.bus, name, sum.Stats.RecordsOut, sum.Stats.WallTime.Seconds())
 	}
 }
 
-func (b *busRun) busName() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.spec.Bus
-}
-
-// sessionOptions translates the bus spec into engine options around
-// the attached source.
-func (b *busRun) sessionOptions(src *engine.StreamSource) []engine.Option {
-	b.mu.Lock()
-	spec := b.spec
-	b.mu.Unlock()
-	d := b.d
-	bus := spec.Bus
-	opts := []engine.Option{
-		engine.WithName(bus),
-		engine.WithSource(src),
-		engine.WithStore(b.store),
-		engine.WithWorkers(spec.Workers),
-		engine.WithBatch(spec.Batch),
-		engine.WithLogf(func(format string, args ...any) {
-			d.logf("bus "+bus+": "+format, args...)
-		}),
-	}
+// memberOptions translates the bus spec into the fleet member's
+// options; everything else (pool, event outlet, model) is the fleet's.
+func (b *busRun) memberOptions(spec controlapi.BusSpec) []engine.Option {
+	opts := []engine.Option{engine.WithBatch(spec.Batch)}
 	// UDP loss surfaces as stream corruption; recovery is mandatory
 	// there (validation enforces it on the spec too).
 	if spec.Recover || b.dg != nil {
 		opts = append(opts, engine.WithRecovery(true))
 	}
 	if spec.Quarantine {
-		if spec.QuarantineSuspectAfter > 0 || spec.QuarantineDegradeAfter > 0 || spec.QuarantineRecoverAfter > 0 {
-			opts = append(opts, engine.WithQuarantineConfig(ids.QuarantineConfig{
-				SuspectAfter: spec.QuarantineSuspectAfter,
-				DegradeAfter: spec.QuarantineDegradeAfter,
-				RecoverAfter: spec.QuarantineRecoverAfter,
-			}))
-		} else {
-			opts = append(opts, engine.WithQuarantine(true))
-		}
+		opts = append(opts, engine.WithQuarantineConfig(ids.QuarantineConfig{
+			SuspectAfter: spec.QuarantineSuspectAfter,
+			DegradeAfter: spec.QuarantineDegradeAfter,
+			RecoverAfter: spec.QuarantineRecoverAfter,
+		}))
 	}
 	if spec.Drift {
-		opts = append(opts, engine.WithDriftConfig(drift.Config{
-			Bus:  bus,
-			Emit: func(e obs.Event) { d.publish(e) },
-		}))
+		opts = append(opts, engine.WithDrift(true))
 	}
 	if spec.StallTimeout != "" {
 		if dur, err := time.ParseDuration(spec.StallTimeout); err == nil && dur > 0 {
 			opts = append(opts, engine.WithStallTimeout(dur))
 		}
 	}
-	if dir := b.flightDir(); dir != "" {
+	if dir := b.d.flightDir(spec); dir != "" {
 		window := spec.FlightWindow
 		if window <= 0 {
 			window = 8
@@ -674,14 +630,19 @@ func (b *busRun) sessionOptions(src *engine.StreamSource) []engine.Option {
 
 // flightDir is the bus's bundle directory ("" when the recorder is
 // off).
+func (d *Daemon) flightDir(spec controlapi.BusSpec) string {
+	if spec.FlightDir == "" {
+		return ""
+	}
+	return filepath.Join(d.resolvePath(spec.FlightDir), spec.Bus)
+}
+
+// flightDir is the bus's current bundle directory.
 func (b *busRun) flightDir() string {
 	b.mu.Lock()
 	spec := b.spec
 	b.mu.Unlock()
-	if spec.FlightDir == "" {
-		return ""
-	}
-	return filepath.Join(b.d.resolvePath(spec.FlightDir), spec.Bus)
+	return b.d.flightDir(spec)
 }
 
 // sink folds every verdict into the bus tally and publishes the
@@ -689,16 +650,15 @@ func (b *busRun) flightDir() string {
 // the daemon's alarm stream and a CLI replay of the same capture are
 // one and the same.
 func (b *busRun) sink(t *engine.Tally) engine.Sink {
-	bus := b.busName()
 	return func(res engine.Result) error {
 		b.mu.Lock()
 		events := t.Observe(res.Result)
 		b.mu.Unlock()
 		for i := range events {
 			if events[i].Bus == "" {
-				events[i].Bus = bus
+				events[i].Bus = b.bus
 			}
-			b.d.publish(events[i])
+			_ = b.d.fleet.EmitEvent(events[i])
 		}
 		return nil
 	}
@@ -710,20 +670,19 @@ func (b *busRun) drain(timeout time.Duration) {
 	b.waitDone(timeout)
 }
 
-// stop closes the listener and asks the live session to drain at its
-// next record boundary.
+// stop closes the listener and detaches the bus from the fleet: the
+// live member drains at its next record boundary and the bus's model
+// is released.
 func (b *busRun) stop() {
 	b.mu.Lock()
 	b.stopping = true
 	b.state = controlapi.BusDetached
-	ln, dg, sess := b.ln, b.dg, b.sess
+	ln, dg := b.ln, b.dg
 	b.mu.Unlock()
 	if ln != nil {
 		ln.Close()
 	}
-	if sess != nil {
-		sess.Stop()
-	}
+	b.d.fleet.Detach(b.bus)
 	if dg != nil {
 		// Unblocks a read waiting for the next datagram; a session
 		// mid-record drains through the recovery path.
@@ -746,13 +705,13 @@ func (b *busRun) waitDone(timeout time.Duration) {
 	feed := b.feed
 	b.mu.Unlock()
 	if feed != nil {
-		b.d.logf("bus %s: drain timeout, closing feed", b.busName())
+		b.d.logf("bus %s: drain timeout, closing feed", b.bus)
 		feed.Close()
 	}
 	select {
 	case <-b.loopDone:
 	case <-time.After(2 * time.Second):
-		b.d.logf("bus %s: session did not stop after feed close", b.busName())
+		b.d.logf("bus %s: session did not stop after feed close", b.bus)
 	}
 }
 

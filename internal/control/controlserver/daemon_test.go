@@ -2,6 +2,8 @@ package controlserver_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"io"
 	"net"
 	"os"
@@ -19,6 +21,7 @@ import (
 	"vprofile/internal/core"
 	"vprofile/internal/engine"
 	"vprofile/internal/experiments"
+	"vprofile/internal/obs"
 	"vprofile/internal/trace"
 	"vprofile/internal/vehicle"
 )
@@ -56,6 +59,13 @@ func sharedModel(t testing.TB) *core.Model {
 // exercised.
 func buildCapture(t testing.TB, seed int64, cleanN, attackN int) []byte {
 	t.Helper()
+	return buildAttackCapture(t, seed, cleanN, attack.Scenario{Kind: attack.Foreign, VictimECU: 1, NumMessages: attackN, Seed: seed + 1})
+}
+
+// buildAttackCapture renders clean traffic followed by the attack
+// segment sc describes.
+func buildAttackCapture(t testing.TB, seed int64, cleanN int, sc attack.Scenario) []byte {
+	t.Helper()
 	v := vehicle.NewVehicleB()
 	var buf bytes.Buffer
 	w, err := trace.NewWriter(&buf, trace.Header{Vehicle: v.Name, BitRate: v.BitRate, ADC: v.ADC})
@@ -80,7 +90,7 @@ func buildCapture(t testing.TB, seed int64, cleanN, attackN int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs, err := attack.Run(v, attack.Scenario{Kind: attack.Foreign, VictimECU: 1, NumMessages: attackN, Seed: seed + 1})
+	msgs, err := attack.Run(v, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +209,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 			defer d.Drain(5 * time.Second)
 			st, err := d.Attach(controlapi.BusSpec{
 				Bus: "b1", Listen: tc.listen, Model: "model.vpm",
-				Workers: 2, Quarantine: true,
+				Quarantine: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -333,7 +343,7 @@ func TestHotReloadKeepsUnchangedBus(t *testing.T) {
 	sockB := filepath.Join(dir, "b.sock")
 	policyPath := filepath.Join(dir, "fleet.yaml")
 	writePolicy := func(modelB string) {
-		text := "defaults:\n  quarantine: true\n  workers: 2\nbuses:\n" +
+		text := "defaults:\n  quarantine: true\nbuses:\n" +
 			"  a:\n    listen: tcp://127.0.0.1:0\n    model: model.vpm\n" +
 			"  b:\n    listen: unix://" + sockB + "\n    model: " + modelB + "\n"
 		if err := os.WriteFile(policyPath, []byte(text), 0o644); err != nil {
@@ -506,4 +516,93 @@ func mustRead(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestDaemonFlightEvents: a bus's flight recorder reports through the
+// fleet's event outlet like every other layer, so a bus with flight_dir
+// streamed a hijack capture surfaces flight events both on /v1/events
+// and in the alarms.events mirror.
+func TestDaemonFlightEvents(t *testing.T) {
+	dir, _, _, _ := fixtureDir(t)
+	capturePath := filepath.Join(dir, "hijack.vptr")
+	hijack := buildAttackCapture(t, 211, 700, attack.Scenario{
+		Kind: attack.Hijack, AttackerECU: 2, VictimECU: 1, NumMessages: 250, Seed: 212,
+	})
+	if err := os.WriteFile(capturePath, hijack, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mirrorPath := filepath.Join(dir, "alarms.jsonl")
+	policyPath := filepath.Join(dir, "fleet.yaml")
+	text := "alarms:\n  events: " + mirrorPath + "\nbuses:\n" +
+		"  hj:\n    listen: tcp://127.0.0.1:0\n    model: model.vpm\n    flight_dir: forensics\n"
+	if err := os.WriteFile(policyPath, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	policy, err := control.LoadPolicy(policyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := controlserver.New(controlserver.Config{Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Drain(5 * time.Second)
+	srv, err := controlserver.Serve("127.0.0.1:0", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	st, err := d.BusStatus("hj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := controlclient.StreamCapture(st.Ingest, capturePath, controlclient.StreamConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitBusDone(t, d, "hj", 1); st.SessionsAborted != 0 {
+		t.Fatalf("hijack feed aborted: %s", st.LastError)
+	}
+
+	c := controlclient.New(srv.Addr())
+	apiFlight := 0
+	for cursor := uint64(0); ; {
+		page, err := c.Events(context.Background(), cursor, 1000, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(page.Events) == 0 {
+			break
+		}
+		for _, rec := range page.Events {
+			if rec.Event.Kind == obs.EventFlight && rec.Event.Bus == "hj" {
+				apiFlight++
+			}
+		}
+		cursor = page.Next
+	}
+	if apiFlight == 0 {
+		t.Errorf("no flight events on %s", controlapi.PathEvents)
+	}
+
+	// The drain closes the mirror; every line is then on disk.
+	if code := d.Drain(5 * time.Second); code != 0 {
+		t.Fatalf("drain exited %d", code)
+	}
+	mirrorFlight := 0
+	for _, line := range bytes.Split(mustRead(t, mirrorPath), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var e obs.Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("mirror line %q: %v", line, err)
+		}
+		if e.Kind == obs.EventFlight && e.Bus == "hj" {
+			mirrorFlight++
+		}
+	}
+	if mirrorFlight != apiFlight {
+		t.Errorf("alarms.events mirror holds %d flight events, %s served %d", mirrorFlight, controlapi.PathEvents, apiFlight)
+	}
 }

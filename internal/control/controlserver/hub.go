@@ -12,15 +12,14 @@ import (
 // ring every published event lands in, read by any number of
 // long-polling subscribers through a cursor (controlapi.PathEvents).
 // Slow or absent clients never apply backpressure to the data plane —
-// a publisher only rotates the ring — and a client that falls behind
-// learns exactly how many events it lost (Dropped) instead of
-// silently missing them.
+// a publisher only overwrites the oldest slot — and a client that
+// falls behind learns exactly how many events it lost (Dropped)
+// instead of silently missing them.
 type eventHub struct {
-	mu    sync.Mutex
-	ring  []controlapi.EventRecord
-	next  uint64 // sequence number of the next event published
-	start uint64 // sequence number of the oldest retained event
-	wake  chan struct{}
+	mu   sync.Mutex
+	ring []controlapi.EventRecord // event seq lives at ring[seq % len(ring)]
+	next uint64                   // sequence number of the next event published
+	wake chan struct{}
 }
 
 func newEventHub(capacity int) *eventHub {
@@ -28,22 +27,24 @@ func newEventHub(capacity int) *eventHub {
 		capacity = 1
 	}
 	return &eventHub{
-		ring: make([]controlapi.EventRecord, 0, capacity),
+		ring: make([]controlapi.EventRecord, capacity),
 		wake: make(chan struct{}),
 	}
 }
 
-// Publish appends one event and wakes every waiting poller.
+// start is the sequence number of the oldest retained event.
+func (h *eventHub) start() uint64 {
+	if n := uint64(len(h.ring)); h.next > n {
+		return h.next - n
+	}
+	return 0
+}
+
+// Publish stores one event, overwriting the oldest once the ring is
+// full, and wakes every waiting poller.
 func (h *eventHub) Publish(e obs.Event) {
 	h.mu.Lock()
-	rec := controlapi.EventRecord{Seq: h.next, Event: e}
-	if len(h.ring) < cap(h.ring) {
-		h.ring = append(h.ring, rec)
-	} else {
-		copy(h.ring, h.ring[1:])
-		h.ring[len(h.ring)-1] = rec
-		h.start++
-	}
+	h.ring[h.next%uint64(len(h.ring))] = controlapi.EventRecord{Seq: h.next, Event: e}
 	h.next++
 	close(h.wake)
 	h.wake = make(chan struct{})
@@ -56,21 +57,22 @@ func (h *eventHub) Publish(e obs.Event) {
 func (h *eventHub) since(after uint64, max int) (events []controlapi.EventRecord, next uint64, dropped uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if after < h.start {
-		dropped = h.start - after
-		after = h.start
+	if start := h.start(); after < start {
+		dropped = start - after
+		after = start
 	}
 	if after >= h.next {
 		return nil, h.next, dropped
 	}
-	i := int(after - h.start)
-	out := h.ring[i:]
-	if max > 0 && len(out) > max {
-		out = out[:max]
+	n := h.next - after
+	if max > 0 && n > uint64(max) {
+		n = uint64(max)
 	}
-	events = make([]controlapi.EventRecord, len(out))
-	copy(events, out)
-	return events, events[len(events)-1].Seq + 1, dropped
+	events = make([]controlapi.EventRecord, n)
+	for i := range events {
+		events[i] = h.ring[(after+uint64(i))%uint64(len(h.ring))]
+	}
+	return events, after + n, dropped
 }
 
 // waiter returns the channel closed by the next Publish.

@@ -198,7 +198,7 @@ func ParsePolicy(name string, data []byte) (*Policy, error) {
 
 // busSettingKeys is the per-bus (and defaults) key set.
 var busSettingKeys = []string{
-	"listen", "model", "workers", "batch", "recover", "quarantine",
+	"listen", "model", "batch", "recover", "quarantine",
 	"drift", "stall_timeout", "flight_dir", "flight_window",
 }
 
@@ -215,7 +215,9 @@ func bindBusSettings(e *errs, n *node, path string, spec *controlapi.BusSpec, se
 		case "model":
 			spec.Model = bindString(e, c, kp)
 		case "workers":
-			spec.Workers = bindInt(e, c, kp)
+			// Removed: every bus runs on the daemon fleet's one worker
+			// pool, sized by GOMAXPROCS.
+			e.add(c.line, kp, "removed: buses share the daemon's worker pool (sized by GOMAXPROCS)")
 		case "batch":
 			spec.Batch = bindInt(e, c, kp)
 		case "recover":
@@ -292,9 +294,6 @@ func validateSpec(e *errs, line int, path string, spec *controlapi.BusSpec, dir 
 		if _, err := os.Stat(mp); err != nil {
 			e.add(line, path+".model", "model file %s: %v", spec.Model, errors.Unwrap(err))
 		}
-	}
-	if spec.Workers < 0 {
-		e.add(line, path+".workers", "must be >= 0, got %d", spec.Workers)
 	}
 	if spec.Batch < 0 {
 		e.add(line, path+".batch", "must be >= 0, got %d", spec.Batch)

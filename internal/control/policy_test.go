@@ -36,14 +36,14 @@ alarms:
 defaults:
   model: model.vpm
   quarantine: true
-  workers: 2
+  batch: 2
 buses:
   front:
     listen: tcp://127.0.0.1:9700
   cabin:
     listen: udp://127.0.0.1:9701
     recover: true
-    workers: 4
+    batch: 4
     quarantine:
       suspect_after: 2
       degrade_after: 6
@@ -72,9 +72,9 @@ buses:
 	if front == nil {
 		t.Fatal("bus front missing")
 	}
-	// Defaults merged: model, quarantine and workers flow in; listen is
+	// Defaults merged: model, quarantine and batch flow in; listen is
 	// the bus's own.
-	if front.Model != "model.vpm" || !front.Quarantine || front.Workers != 2 {
+	if front.Model != "model.vpm" || !front.Quarantine || front.Batch != 2 {
 		t.Errorf("defaults did not merge into front: %+v", front)
 	}
 	if front.Listen != "tcp://127.0.0.1:9700" {
@@ -82,8 +82,8 @@ buses:
 	}
 	cabin := p.Bus("cabin")
 	// Per-bus override wins over the default.
-	if cabin.Workers != 4 {
-		t.Errorf("cabin.workers = %d, want 4 (override)", cabin.Workers)
+	if cabin.Batch != 4 {
+		t.Errorf("cabin.batch = %d, want 4 (override)", cabin.Batch)
 	}
 	if !cabin.Recover {
 		t.Error("cabin.recover not set")
@@ -166,9 +166,14 @@ func TestParsePolicyErrors(t *testing.T) {
 			want: []string{"buses.a.quarantine.degrade_after", "must be > suspect_after (6)"},
 		},
 		{
-			name: "negative workers",
-			text: "buses:\n  a:\n    listen: tcp://127.0.0.1:1\n    model: model.vpm\n    workers: -2\n",
-			want: []string{"buses.a.workers", "must be >= 0"},
+			name: "negative batch",
+			text: "buses:\n  a:\n    listen: tcp://127.0.0.1:1\n    model: model.vpm\n    batch: -2\n",
+			want: []string{"buses.a.batch", "must be >= 0"},
+		},
+		{
+			name: "removed workers key",
+			text: "buses:\n  a:\n    listen: tcp://127.0.0.1:1\n    model: model.vpm\n    workers: 4\n",
+			want: []string{"buses.a.workers", "removed: buses share the daemon's worker pool"},
 		},
 		{
 			name: "bad stall timeout",
@@ -184,11 +189,6 @@ func TestParsePolicyErrors(t *testing.T) {
 			name: "duplicate listen",
 			text: "defaults:\n  model: model.vpm\nbuses:\n  a:\n    listen: tcp://127.0.0.1:7\n  b:\n    listen: tcp://127.0.0.1:7\n",
 			want: []string{"buses.b.listen", "duplicate listen address"},
-		},
-		{
-			name: "non-integer workers",
-			text: "buses:\n  a:\n    listen: tcp://127.0.0.1:1\n    model: model.vpm\n    workers: lots\n",
-			want: []string{"buses.a.workers", `expected an integer, got "lots"`},
 		},
 		{
 			name: "non-bool quarantine",
@@ -234,14 +234,14 @@ func TestParsePolicyReportsAllErrors(t *testing.T) {
 buses:
   a:
     model: model.vpm
-    workers: -1
+    batch: -1
   b:
     listen: tcp://127.0.0.1:1
 `)
 	if err == nil {
 		t.Fatal("policy accepted")
 	}
-	for _, want := range []string{"buses.a.listen", "buses.a.workers", "buses.b.model"} {
+	for _, want := range []string{"buses.a.listen", "buses.a.batch", "buses.b.model"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("combined error missing %q:\n%v", want, err)
 		}
@@ -267,8 +267,8 @@ func TestValidateSpecAttachPath(t *testing.T) {
 }
 
 func TestDiffPolicies(t *testing.T) {
-	spec := func(bus, listen, model string, workers int) controlapi.BusSpec {
-		return controlapi.BusSpec{Bus: bus, Listen: listen, Model: model, Workers: workers}
+	spec := func(bus, listen, model string, batch int) controlapi.BusSpec {
+		return controlapi.BusSpec{Bus: bus, Listen: listen, Model: model, Batch: batch}
 	}
 	old := &Policy{Buses: []controlapi.BusSpec{
 		spec("same", "tcp://h:1", "m.vpm", 2),
@@ -279,7 +279,7 @@ func TestDiffPolicies(t *testing.T) {
 	new := &Policy{Buses: []controlapi.BusSpec{
 		spec("same", "tcp://h:1", "m.vpm", 2),
 		spec("swap", "tcp://h:2", "m2.vpm", 2),   // model only → hot swap
-		spec("restart", "tcp://h:3", "m.vpm", 8), // workers changed → restart
+		spec("restart", "tcp://h:3", "m.vpm", 8), // batch changed → restart
 		spec("fresh", "tcp://h:5", "m.vpm", 2),
 	}}
 	d := DiffPolicies(old, new)

@@ -3,7 +3,6 @@ package engine
 import (
 	"vprofile/internal/obs"
 	"vprofile/internal/obs/drift"
-	"vprofile/internal/obs/incident"
 	"vprofile/internal/pipeline"
 )
 
@@ -14,57 +13,41 @@ import (
 // drift_warn/drift_alarm events, vprofile_drift_* gauges and a /drift
 // JSON endpoint next to /metrics. Baselines re-freeze on model swap.
 // Verdicts are untouched — the layer only observes the stream.
-func WithDrift(on bool) Option { return func(s *Session) { s.drift = on } }
+func WithDrift(on bool) Option { return func(s *settings) { s.drift = on } }
 
 // WithDriftConfig enables drift monitoring with an explicit detector
 // configuration (tests tune baselines and thresholds with it; the
 // CLIs use the defaults).
 func WithDriftConfig(cfg drift.Config) Option {
-	return func(s *Session) { s.drift = true; s.driftCfg = &cfg }
+	return func(s *settings) { s.drift = true; s.driftCfg = &cfg }
 }
 
-// withDriftMonitor points a fleet member at a fleet-owned monitor;
-// the session then feeds it but neither creates it nor resets it on
-// model swaps (the fleet does, for every member at once).
-func withDriftMonitor(m *drift.Monitor) Option {
-	return func(s *Session) { s.driftMon = m; s.drift = true }
-}
-
-// setupDrift builds (or adopts) the session's drift monitor, wiring
-// events, the incident correlator hook and the vprofile_drift_*
-// instruments. Called from Run after setupIncidents so a drifting SA
-// can escalate the incidents layer.
-func (s *Session) setupDrift(reg *obs.Registry, incStream *incident.BusStream) *drift.Monitor {
-	if !s.drift {
-		return nil
+// newDriftMonitor builds a member's drift monitor: events go out
+// tagged with the member's bus, transitions escalate its incidents,
+// and the vprofile_drift_* instruments land on its registry.
+func newDriftMonitor(s *Session) *drift.Monitor {
+	cfg := drift.Config{}
+	if s.driftCfg != nil {
+		cfg = *s.driftCfg
 	}
-	if s.driftMon == nil {
-		cfg := drift.Config{}
-		if s.driftCfg != nil {
-			cfg = *s.driftCfg
-		}
-		if cfg.Bus == "" {
-			cfg.Bus = s.name
-		}
-		if cfg.Emit == nil && s.events != nil {
-			events := s.events
-			cfg.Emit = func(e obs.Event) { _ = events.Emit(e) }
-		}
-		if cfg.OnTransition == nil && incStream != nil {
-			// A drifting SA escalates its open incident; fleet-wide
-			// drift on the same SA tags it environmental.
-			stream := incStream
-			cfg.OnTransition = func(tr drift.Transition) {
-				stream.ObserveDrift(tr.SA, tr.To.String(), tr.TimeSec)
-			}
-		}
-		s.driftMon = drift.NewMonitor(cfg)
-		s.ownDrift = true
+	if cfg.Bus == "" {
+		cfg.Bus = s.name
 	}
-	if reg != nil {
-		s.driftMon.BindGauges(reg)
+	if cfg.Emit == nil {
+		cfg.Emit = func(e obs.Event) { _ = s.EmitEvent(e) }
 	}
-	return s.driftMon
+	if stream := s.incStream; cfg.OnTransition == nil && stream != nil {
+		// A drifting SA escalates its open incident; fleet-wide drift
+		// on the same SA tags it environmental.
+		cfg.OnTransition = func(tr drift.Transition) {
+			stream.ObserveDrift(tr.SA, tr.To.String(), tr.TimeSec)
+		}
+	}
+	m := drift.NewMonitor(cfg)
+	if s.reg != nil {
+		m.BindGauges(s.reg)
+	}
+	return m
 }
 
 // observeDrift projects one verdict into the drift monitor: the
@@ -86,11 +69,4 @@ func observeDrift(mon *drift.Monitor, store *ModelStore, r pipeline.Result) {
 	}
 	thr := m.Clusters[exp].MaxDist + m.Margin
 	mon.Observe(uint8(r.Frame.SA()), v.Voltage.MinDist, thr, r.Record.TimeSec)
-}
-
-// DriftMonitor exposes the fleet's per-bus drift monitors, in capture
-// order (empty when drift is off) — tests scrape mid-run state
-// through them.
-func (f *Fleet) DriftMonitors() []*drift.Monitor {
-	return append([]*drift.Monitor(nil), f.driftMons...)
 }

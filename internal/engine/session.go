@@ -93,9 +93,9 @@ type Summary struct {
 	// ModelSwaps counts hot swaps observed during it.
 	ModelVersion int
 	ModelSwaps   int
-	// Incidents is the incident history of a standalone session that
-	// ran with WithIncidents (nil otherwise; fleet members report
-	// through Fleet.Incidents instead).
+	// Incidents is the incident history of a lone session that ran
+	// with WithIncidents (nil otherwise; fleet members report through
+	// Fleet.Incidents instead).
 	Incidents []incident.Snapshot
 	// Drift is the end-of-run drift-detector snapshot (nil when the
 	// drift layer is off).
@@ -112,11 +112,10 @@ type Summary struct {
 	Err error
 }
 
-// Session is one capture→verdict run: it owns opening the source,
-// building the composite IDS, wiring observability and running the
-// concurrent replay. Build with NewSession + options, run once with
-// Run. The zero value is not usable.
-type Session struct {
+// settings is the option set. A Session replays with its own copy; a
+// Fleet keeps one as the template every member is built from, so a
+// member carries every option the fleet was given.
+type settings struct {
 	capture string
 	name    string
 	// source, when set, replaces opening the capture file: the session
@@ -125,18 +124,13 @@ type Session struct {
 
 	model     *core.Model
 	modelPath string
-	store     *ModelStore
-	ownStore  bool
 
 	workers int
 	batch   int
-	pool    *pipeline.Pool
 
 	metricsAddr  string
-	registry     *obs.Registry
-	events       *obs.EventLog
-	ownEvents    bool
 	eventsPath   string
+	maxEvents    int
 	flightDir    string
 	flightWindow int
 
@@ -146,41 +140,53 @@ type Session struct {
 	stall      time.Duration
 	watch      time.Duration
 
-	// Incident-layer state (see incidents.go): incidents turns the
-	// layer on, incCfg optionally tunes it, inc is the correlator (a
-	// fleet injects a shared one; a standalone session builds and
-	// closes its own — ownInc), maxEvents caps an owned event log.
 	incidents bool
 	incCfg    *incident.Config
-	inc       *incident.Correlator
-	ownInc    bool
-	maxEvents int
-
-	// Drift-layer state (see drift.go): drift turns the layer on,
-	// driftCfg optionally tunes the detectors, driftMon is the monitor
-	// (a fleet injects a shared-lifecycle one per bus; a standalone
-	// session builds its own — ownDrift).
-	drift    bool
-	driftCfg *drift.Config
-	driftMon *drift.Monitor
-	ownDrift bool
+	drift     bool
+	driftCfg  *drift.Config
 
 	logf func(format string, args ...any)
+}
+
+func newSettings(capture string, opts []Option) settings {
+	cfg := settings{capture: capture, flightWindow: 8}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
+// Session is one capture→verdict run: it opens the source, builds the
+// composite IDS and runs the concurrent replay on a Fleet's shared
+// runtime. Build with NewSession + options (or Fleet.Attach), run once
+// with Run. The zero value is not usable.
+type Session struct {
+	settings
+
+	// Bound when the session joins its host fleet and immutable after:
+	// label names its metrics, stats record and incident evidence (the
+	// bus name, or the capture's derived name on a lone run); reg,
+	// version, incStream and driftMon are its per-bus instruments.
+	host      *Fleet
+	label     string
+	store     *ModelStore
+	reg       *obs.Registry
+	version   *obs.Gauge
+	incStream *incident.BusStream
+	driftMon  *drift.Monitor
 
 	// live is the state a mid-stream Snapshot reads while Run is in
 	// flight: everything in it is either immutable after Run's setup
-	// (src, store, startVersion), internally synchronised
-	// (pipeline.Replayer.Stats, drift.Monitor.Status,
-	// trace.Reader.Corruptions), or written exactly once at the end
-	// (final). degraded is kept separately by the sink wrapper so the
-	// snapshot never touches the composite's unsynchronised quarantine
-	// state.
+	// (src, startVersion), internally synchronised
+	// (pipeline.Replayer.Stats, trace.Reader.Corruptions), or written
+	// exactly once at the end (final). degraded is kept separately by
+	// the sink wrapper so the snapshot never touches the composite's
+	// unsynchronised quarantine state.
 	live struct {
 		mu           sync.Mutex
 		src          *StreamSource
 		rep          *pipeline.Replayer
-		driftMon     *drift.Monitor
-		store        *ModelStore
+		recorder     *tracing.Recorder
 		startVersion int
 		started      bool
 		stopEarly    bool
@@ -189,151 +195,141 @@ type Session struct {
 	degraded atomic.Int64
 }
 
-// Option configures a Session (and, via NewFleet, every session of a
-// fleet).
-type Option func(*Session)
+// Option configures a Session, or every member of a Fleet.
+type Option func(*settings)
 
 // WithName tags the session's results, events and metrics with a bus
 // name. Fleets derive names from capture filenames automatically.
-func WithName(name string) Option { return func(s *Session) { s.name = name } }
+func WithName(name string) Option { return func(s *settings) { s.name = name } }
 
 // WithModelPath lazily loads the model from disk (LoadModelFile).
-func WithModelPath(path string) Option { return func(s *Session) { s.modelPath = path } }
+func WithModelPath(path string) Option { return func(s *settings) { s.modelPath = path } }
 
 // WithModel supplies an already-loaded model.
-func WithModel(m *core.Model) Option { return func(s *Session) { s.model = m } }
+func WithModel(m *core.Model) Option { return func(s *settings) { s.model = m } }
 
-// WithStore runs the session against an externally-owned hot-swap
-// store (shared across a fleet). The session then neither creates a
-// store nor drives -model-watch itself.
-func WithStore(st *ModelStore) Option { return func(s *Session) { s.store = st } }
-
-// WithWorkers sets the extraction pool size (0 = GOMAXPROCS).
-func WithWorkers(n int) Option { return func(s *Session) { s.workers = n } }
+// WithWorkers sets the extraction pool size (0 = GOMAXPROCS). A fleet
+// shares one pool of this size across all its buses.
+func WithWorkers(n int) Option { return func(s *settings) { s.workers = n } }
 
 // WithBatch sets the records-per-batch granularity of the replay
 // pipeline (0 = pipeline.DefaultBatch, 1 = per-record handoff).
 // Verdicts are identical at every batch size.
-func WithBatch(n int) Option { return func(s *Session) { s.batch = n } }
-
-// WithPool runs the hot path on a shared worker pool instead of a
-// private one; the pool must outlive the session.
-func WithPool(p *pipeline.Pool) Option { return func(s *Session) { s.pool = p } }
+func WithBatch(n int) Option { return func(s *settings) { s.batch = n } }
 
 // WithMetricsAddr serves /metrics, /metrics.json, /debug/pprof/ (and
 // /debug/flight when flight recording) for the replay's duration.
-func WithMetricsAddr(addr string) Option { return func(s *Session) { s.metricsAddr = addr } }
-
-// WithRegistry mounts the session's instruments on an external
-// registry (a fleet's per-bus group member) instead of a private one.
-func WithRegistry(reg *obs.Registry) Option { return func(s *Session) { s.registry = reg } }
+func WithMetricsAddr(addr string) Option { return func(s *settings) { s.metricsAddr = addr } }
 
 // WithEventsPath writes a JSONL event log (plus an end-of-run stats
-// snapshot) to path.
-func WithEventsPath(path string) Option { return func(s *Session) { s.eventsPath = path } }
-
-// WithEventLog emits events to an externally-owned log (a fleet's
-// shared log). The session tags its records with its bus name and
-// does not close the log.
-func WithEventLog(l *obs.EventLog) Option { return func(s *Session) { s.events = l } }
+// record per bus) to path.
+func WithEventsPath(path string) Option { return func(s *settings) { s.eventsPath = path } }
 
 // WithFlightRecorder traces every frame and freezes forensic bundles
 // around alarms into dir, with window frames of pre/post context.
 func WithFlightRecorder(dir string, window int) Option {
-	return func(s *Session) { s.flightDir, s.flightWindow = dir, window }
+	return func(s *settings) { s.flightDir, s.flightWindow = dir, window }
 }
 
 // WithQuarantine enables the per-SA degradation state machine.
-func WithQuarantine(on bool) Option { return func(s *Session) { s.quarantine = on } }
+func WithQuarantine(on bool) Option { return func(s *settings) { s.quarantine = on } }
 
 // WithQuarantineConfig enables quarantine with explicit thresholds
 // (the fleet policy's per-bus tuning); zero fields take the defaults.
 func WithQuarantineConfig(cfg ids.QuarantineConfig) Option {
-	return func(s *Session) { s.quarantine, s.quarCfg = true, &cfg }
+	return func(s *settings) { s.quarantine, s.quarCfg = true, &cfg }
 }
 
 // WithSource streams records from an already-attached source instead
-// of opening a capture file — the daemon's live-ingestion path. The
-// session takes ownership (Run closes it).
-func WithSource(src *StreamSource) Option { return func(s *Session) { s.source = src } }
+// of opening a capture file — the live-ingestion path. The session
+// takes ownership (Run closes it).
+func WithSource(src *StreamSource) Option { return func(s *settings) { s.source = src } }
 
 // WithRecovery tolerates capture corruption: the reader resyncs past
 // damaged records instead of aborting.
-func WithRecovery(on bool) Option { return func(s *Session) { s.recovery = on } }
+func WithRecovery(on bool) Option { return func(s *settings) { s.recovery = on } }
 
 // WithStallTimeout arms the slow-sink watchdog (0 disables).
-func WithStallTimeout(d time.Duration) Option { return func(s *Session) { s.stall = d } }
+func WithStallTimeout(d time.Duration) Option { return func(s *settings) { s.stall = d } }
 
 // WithModelWatch polls the model file every interval and hot-swaps
-// the model when it changes (0 disables). Requires WithModelPath and
-// a session-owned store.
-func WithModelWatch(interval time.Duration) Option { return func(s *Session) { s.watch = interval } }
+// the model when it changes (0 disables). Requires WithModelPath.
+func WithModelWatch(interval time.Duration) Option {
+	return func(s *settings) { s.watch = interval }
+}
 
-// WithLogf routes the session's informational messages (serving
-// addresses, model swaps); nil silences them.
-func WithLogf(fn func(format string, args ...any)) Option { return func(s *Session) { s.logf = fn } }
+// WithLogf routes informational messages (serving addresses, model
+// swaps); nil silences them.
+func WithLogf(fn func(format string, args ...any)) Option { return func(s *settings) { s.logf = fn } }
 
 // NewSession builds a session over one capture file.
 func NewSession(capture string, opts ...Option) *Session {
-	s := &Session{capture: capture, flightWindow: 8}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
+	return &Session{settings: newSettings(capture, opts)}
 }
 
-// EmitEvent appends one event to the session's log, tagged with the
-// session's bus name. It is a no-op (nil) without an event log. Call
-// it from the Run sink — the log exists for exactly that window.
+// EmitEvent appends one event to the host fleet's event outlet, tagged
+// with the session's bus name. It is a no-op (nil) before the session
+// runs. Call it from the Run sink.
 func (s *Session) EmitEvent(e obs.Event) error {
-	if s.events == nil {
+	if s.host == nil {
 		return nil
 	}
 	if e.Bus == "" {
 		e.Bus = s.name
 	}
-	return s.events.Emit(e)
+	return s.host.emit(e)
 }
 
-// resolveStore produces the session's model provider, loading the
-// model from disk when only a path was given.
-func (s *Session) resolveStore() error {
-	if s.store != nil {
-		return nil
-	}
-	m := s.model
-	if m == nil {
-		if s.modelPath == "" {
-			return errors.New("engine: session needs a model (WithModel, WithModelPath or WithStore)")
-		}
-		var err error
-		m, err = LoadModelFile(s.modelPath)
-		if err != nil {
-			return err
-		}
-	}
-	st, err := NewModelStore(m)
-	if err != nil {
-		return err
-	}
-	s.store, s.ownStore = st, true
-	return nil
-}
+// emitFunc adapts a function to the flight recorder's event outlet.
+type emitFunc func(obs.Event) error
+
+func (fn emitFunc) Emit(e obs.Event) error { return fn(e) }
 
 // Run replays the capture to completion (or first error), delivering
 // verdicts to sink in record order. It may be called once; the
 // returned Summary is valid even on error (with the fields reached so
 // far). Mid-stream death (stall watchdog, unrecovered corruption)
 // comes back wrapped in *AbortError.
+//
+// A session from Fleet.Attach runs on that fleet. Any other session
+// runs as the only member of a fleet of its own, which serves its
+// metrics, writes its event log and correlates its incidents for the
+// duration of the run.
 func (s *Session) Run(sink Sink) (Summary, error) {
-	logf := s.logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+	lone := s.host == nil
+	if lone {
+		f, err := newFleet(s.settings)
+		if err == nil {
+			if err = f.adopt(s); err != nil {
+				_ = f.Close()
+			}
+		}
+		if err != nil {
+			return Summary{Bus: s.name, Capture: s.capture}, err
+		}
 	}
+	sum, err := s.run(sink)
+	if lone {
+		if cerr := s.host.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+		sum.Incidents = s.host.Incidents()
+	}
+	s.live.mu.Lock()
+	final := sum
+	s.live.final = &final
+	s.live.mu.Unlock()
+	return sum, err
+}
+
+// run is the member replay on the host's shared runtime.
+func (s *Session) run(sink Sink) (Summary, error) {
 	sum := Summary{Bus: s.name, Capture: s.capture}
-	if err := s.resolveStore(); err != nil {
+	f := s.host
+	if err := f.begin(); err != nil {
 		return sum, err
 	}
+	defer f.leave(s)
 	startVersion := s.store.Version()
 
 	var err error
@@ -354,61 +350,23 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 	h := rd.Header()
 	sum.Header = h
 
-	s.live.mu.Lock()
-	s.live.src = rd
-	s.live.store = s.store
-	s.live.startVersion = startVersion
-	s.live.started = true
-	if s.live.stopEarly {
-		// Stop raced ahead of Run: honour it before the first record.
-		rd.Stop()
-	}
-	s.live.mu.Unlock()
-
-	// Observability: one registry feeds the live HTTP endpoint, the
-	// instrumented pipeline/detector stack, and the end-of-run
-	// snapshot in the event log. A fleet injects the registry (a group
-	// member) and the shared event log; a standalone session owns both.
-	reg := s.registry
-	wantObs := s.metricsAddr != "" || s.eventsPath != "" || s.events != nil || s.incidents || s.drift
-	if reg == nil && wantObs {
-		reg = obs.NewRegistry()
-	}
 	var pm *pipeline.Metrics
 	var im *ids.Metrics
-	if reg != nil {
-		pm = pipeline.NewMetrics(reg)
-		im = ids.NewMetrics(reg)
-		rd.SetMetrics(trace.NewMetrics(reg))
-	}
-	if s.events == nil && s.eventsPath != "" {
-		s.events, err = obs.CreateEventLog(s.eventsPath)
-		if err != nil {
-			return sum, err
-		}
-		s.ownEvents = true
-		if s.maxEvents > 0 {
-			s.events.SetMaxEvents(s.maxEvents)
-		}
-	}
-	incStream := s.setupIncidents(reg)
-	driftMon := s.setupDrift(reg, incStream)
-	if driftMon != nil {
-		s.live.mu.Lock()
-		s.live.driftMon = driftMon
-		s.live.mu.Unlock()
+	if s.reg != nil {
+		pm = pipeline.NewMetrics(s.reg)
+		im = ids.NewMetrics(s.reg)
+		rd.SetMetrics(trace.NewMetrics(s.reg))
 	}
 	var recorder *tracing.Recorder
 	if s.flightDir != "" {
 		rcfg := tracing.RecorderConfig{
-			Window: s.flightWindow, Dir: s.flightDir, Header: h, Events: s.events,
+			Window: s.flightWindow, Dir: s.flightDir, Header: h, Events: emitFunc(s.EmitEvent),
 		}
-		if incStream != nil {
+		if stream := s.incStream; stream != nil {
 			// Stamp each finished bundle with the incident that was open
 			// for its (bus, SA) — and file the bundle as incident
 			// evidence — before it hits disk, so bundle.json carries the
 			// join key.
-			stream := incStream
 			rcfg.Tag = func(b *tracing.Bundle) {
 				b.Incident = stream.LinkBundle(b.SA, b.DirName())
 			}
@@ -418,77 +376,17 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 			return sum, err
 		}
 	}
-	if s.metricsAddr != "" {
-		var routes []obs.Route
-		if recorder != nil {
-			routes = append(routes, obs.Route{Pattern: "/debug/flight", Handler: recorder})
-		}
-		var exp obs.Exporter = reg
-		if reg != nil {
-			// Self-telemetry refreshes at scrape time, on the same
-			// registry the replay instruments.
-			rs := obs.NewRuntimeStats(reg)
-			exp = obs.CollectedExporter(reg, rs.Collect)
-		}
-		if s.ownInc {
-			routes = append(routes, s.inc.Routes()...)
-		}
-		if driftMon != nil {
-			routes = append(routes, driftMon.Route())
-		}
-		srv, err := obs.Serve(s.metricsAddr, exp, routes...)
-		if err != nil {
-			return sum, err
-		}
-		// Drain in-flight scrapes briefly instead of cutting them off
-		// mid-response.
-		defer func() { _ = srv.ShutdownTimeout(2 * time.Second) }()
-		logf("serving /metrics and /debug/pprof/ on http://%s", srv.Addr())
-		if recorder != nil {
-			logf("flight recorder live at http://%s/debug/flight", srv.Addr())
-		}
-	}
 
-	// Model hot-swap surfacing: the version gauge tracks swaps on this
-	// session's registry; a session that owns its store also emits the
-	// model_swap event and drives the file watch (a fleet does both
-	// fleet-wide instead).
-	started := time.Now()
-	if reg != nil {
-		g := reg.Gauge("vprofile_engine_model_version",
-			"current hot-swap model generation (1 = the model loaded at start)")
-		g.Set(int64(startVersion))
-		s.store.OnSwap(func(sm StoredModel) { g.Set(int64(sm.Version)) })
+	s.live.mu.Lock()
+	s.live.src = rd
+	s.live.recorder = recorder
+	s.live.startVersion = startVersion
+	s.live.started = true
+	if s.live.stopEarly {
+		// Stop raced ahead of Run: honour it before the first record.
+		rd.Stop()
 	}
-	if driftMon != nil && s.ownDrift {
-		// A hot swap changes the distribution distances are drawn from:
-		// drift baselines re-freeze against the new model instead of
-		// reading the model change itself as drift. (Fleet-injected
-		// monitors are reset fleet-wide by the fleet instead.)
-		mon := driftMon
-		s.store.OnSwap(func(StoredModel) { mon.ResetBaseline() })
-	}
-	if s.ownStore {
-		if s.events != nil {
-			events := s.events
-			bus := s.name
-			s.store.OnSwap(func(sm StoredModel) {
-				_ = events.Emit(obs.Event{
-					TimeSec: time.Since(started).Seconds(), Kind: obs.EventModelSwap,
-					Bus: bus, Severity: obs.SeverityInfo,
-					Detail: modelSwapDetail(sm),
-				})
-			})
-		}
-		if s.watch > 0 {
-			if s.modelPath == "" {
-				return sum, errors.New("engine: model watch needs a model path")
-			}
-			stop := make(chan struct{})
-			defer close(stop)
-			go s.store.Watch(s.modelPath, s.watch, stop, s.logf)
-		}
-	}
+	s.live.mu.Unlock()
 
 	mcfg := ids.CompositeConfig{Extraction: ExtractionFor(h), Models: s.store, Metrics: im}
 	if s.quarantine {
@@ -496,13 +394,12 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 		if s.quarCfg != nil {
 			mcfg.Quarantine = s.quarCfg
 		}
-		if incStream != nil {
+		if stream := s.incStream; stream != nil {
 			// Quarantine transitions reach the incident layer as
 			// structured notifications, not by polling: degradation
 			// escalates the covering incident and counts toward the
 			// bus's health occupancy. Sequence runs single-goroutine, in
 			// record order — exactly the order the correlator wants.
-			stream := incStream
 			mcfg.OnQuarantine = func(ch ids.QuarantineChange) {
 				stream.ObserveQuarantine(ch.SA, ch.To.String(), ch.AtSec)
 			}
@@ -539,26 +436,26 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 			return nil
 		}
 	}
-	if driftMon != nil {
+	if s.driftMon != nil {
 		// Scored frames feed the drift sketches. Wrapped before the
 		// incident layer so per frame the correlator sees alarm evidence
 		// first and drift transitions second (the correlator re-checks
 		// standing drift on every alarm anyway).
-		mon, store, inner := driftMon, s.store, pfn
+		dm, store, inner := s.driftMon, s.store, pfn
 		pfn = func(r pipeline.Result) error {
-			observeDrift(mon, store, r)
+			observeDrift(dm, store, r)
 			if inner != nil {
 				return inner(r)
 			}
 			return nil
 		}
 	}
-	if incStream != nil {
+	if stream := s.incStream; stream != nil {
 		// Every verdict feeds the correlator, before the user sink, so
 		// a mid-run /fleet scrape is never behind the verdict stream.
 		// The wrapper exists even with no user sink — incidents are a
 		// consumer in their own right.
-		stream, inner := incStream, pfn
+		inner := pfn
 		pfn = func(r pipeline.Result) error {
 			stream.Observe(incidentEvidence(r))
 			if inner != nil {
@@ -568,7 +465,7 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 		}
 	}
 	rep, err := pipeline.New(mon, pipeline.Config{
-		Workers: s.workers, Batch: s.batch, Pool: s.pool, Metrics: pm, Recorder: recorder, StallTimeout: s.stall,
+		Batch: s.batch, Pool: f.pool, Metrics: pm, Recorder: recorder, StallTimeout: s.stall,
 	})
 	if err != nil {
 		return sum, err
@@ -579,7 +476,7 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 	err = rep.Run(rd, pfn)
 	sum.Stats = rep.Stats()
 	if recorder != nil {
-		// Close before the event log: flushing truncated capture
+		// Close before the stats record: flushing truncated capture
 		// windows emits their flight events.
 		if cerr := recorder.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -587,27 +484,9 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 		fs := recorder.Stats()
 		sum.Flight = &fs
 	}
-	if s.ownInc {
-		// Close after the recorder (bundle tags emit their update
-		// events) and before the event log (resolve events must land in
-		// it).
-		sum.Incidents = s.inc.CloseOut()
-	}
-	if s.events != nil {
-		if s.ownEvents {
-			// Close even on a failed replay so the partial event stream
-			// and its stats snapshot survive for diagnosis.
-			if cerr := s.events.Close(reg); cerr != nil && err == nil {
-				err = cerr
-			}
-		} else if reg != nil {
-			// Shared (fleet) log: contribute a per-bus stats record; the
-			// fleet closes the log after every bus has.
-			_ = s.events.Emit(obs.Event{Kind: obs.EventStats, Bus: s.name, Stats: reg.Snapshot()})
-		}
-	}
-	if driftMon != nil {
-		snap := driftMon.Status()
+	f.writeStats(s)
+	if s.driftMon != nil {
+		snap := s.driftMon.Status()
 		sum.Drift = &snap
 	}
 	sum.Corruptions = rd.Corruptions()
@@ -616,12 +495,7 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 	sum.ModelVersion = s.store.Version()
 	sum.ModelSwaps = sum.ModelVersion - startVersion
 	sum.Gaps = rd.Gaps()
-	err = classify(err)
-	s.live.mu.Lock()
-	final := sum
-	s.live.final = &final
-	s.live.mu.Unlock()
-	return sum, err
+	return sum, classify(err)
 }
 
 // Stop asks a running session to drain: the stream source ends at the
@@ -641,6 +515,14 @@ func (s *Session) Stop() {
 	}
 }
 
+// recorder returns the running session's flight recorder (nil when off
+// or not yet running).
+func (s *Session) recorder() *tracing.Recorder {
+	s.live.mu.Lock()
+	defer s.live.mu.Unlock()
+	return s.live.recorder
+}
+
 // Snapshot returns the session's state as of now, safe to call from
 // any goroutine at any time. Before Run starts streaming it returns a
 // zero summary; while the replay is live it returns a mid-stream view
@@ -655,8 +537,7 @@ func (s *Session) Snapshot() Summary {
 		s.live.mu.Unlock()
 		return sum
 	}
-	src, rep, driftMon, store, startVersion, started :=
-		s.live.src, s.live.rep, s.live.driftMon, s.live.store, s.live.startVersion, s.live.started
+	src, rep, startVersion, started := s.live.src, s.live.rep, s.live.startVersion, s.live.started
 	s.live.mu.Unlock()
 
 	sum := Summary{Bus: s.name, Capture: s.capture}
@@ -673,12 +554,10 @@ func (s *Session) Snapshot() Summary {
 	}
 	sum.Corruptions = src.Corruptions()
 	sum.DegradedSAs = int(s.degraded.Load())
-	if store != nil {
-		sum.ModelVersion = store.Version()
-		sum.ModelSwaps = sum.ModelVersion - startVersion
-	}
-	if driftMon != nil {
-		snap := driftMon.Status()
+	sum.ModelVersion = s.store.Version()
+	sum.ModelSwaps = sum.ModelVersion - startVersion
+	if s.driftMon != nil {
+		snap := s.driftMon.Status()
 		sum.Drift = &snap
 	}
 	sum.Gaps = src.Gaps()

@@ -30,8 +30,9 @@ type RecorderConfig struct {
 	// itself a valid capture file.
 	Header trace.Header
 	// Events, when non-nil, receives one severity-tagged EventFlight
-	// record per finished bundle.
-	Events *obs.EventLog
+	// record per finished bundle (an *obs.EventLog, or a fleet member's
+	// event outlet).
+	Events interface{ Emit(obs.Event) error }
 	// Tag, when non-nil, is called on each bundle just before it is
 	// written — after the post-context closed, so the bundle is final
 	// except for Path/Truncated. The incident layer uses it to stamp
