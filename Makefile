@@ -39,6 +39,7 @@ lint:
 # separate smoke jobs.
 fuzz:
 	$(GO) test -fuzz '^FuzzReaderResync$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
+	$(GO) test -fuzz '^FuzzNextRawInto$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz '^FuzzEdgeExtract$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/edgeset
 
 # bench-replay compares sequential replay against the concurrent

@@ -293,7 +293,7 @@ func replayOnce(capture []byte, model *core.Model, v *vehicle.Vehicle, workers, 
 		}
 	}
 	var im *ids.Metrics
-	cfg := pipeline.Config{Workers: workers, Batch: batch, PoolBuffers: !withFlight}
+	cfg := pipeline.Config{Workers: workers, Batch: batch}
 	if withMetrics {
 		reg := obs.NewRegistry()
 		cfg.Metrics = pipeline.NewMetrics(reg)
@@ -400,7 +400,7 @@ func fleetOnce(capture []byte, model *core.Model, v *vehicle.Vehicle, buses, wor
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := pipeline.Config{Workers: workersPerBus, Batch: batch, Pool: pool, PoolBuffers: true}
+			cfg := pipeline.Config{Workers: workersPerBus, Batch: batch, Pool: pool}
 			var st pipeline.Stats
 			st, errs[b] = pipeline.Replay(rd, mon, cfg, sink)
 			if errs[b] == nil && st.RecordsOut != int64(records) {

@@ -5,16 +5,26 @@ import "vprofile/internal/pipeline"
 // LastFeedStats exposes the pipeline accounting of a bus's most
 // recently finished feed, for frame-conservation checks.
 func LastFeedStats(d *Daemon, bus string) (pipeline.Stats, bool) {
+	return FeedStatsReader(d, bus)()
+}
+
+// FeedStatsReader binds the bus's current run and returns a reader of
+// its most recently finished feed's accounting. The reader keeps
+// working after Detach drops the bus from the daemon, so a test can
+// audit the feed a detach ended.
+func FeedStatsReader(d *Daemon, bus string) func() (pipeline.Stats, bool) {
 	d.mu.Lock()
 	b := d.buses[bus]
 	d.mu.Unlock()
-	if b == nil {
-		return pipeline.Stats{}, false
+	return func() (pipeline.Stats, bool) {
+		if b == nil {
+			return pipeline.Stats{}, false
+		}
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		if b.lastSum == nil {
+			return pipeline.Stats{}, false
+		}
+		return b.lastSum.Stats, true
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.lastSum == nil {
-		return pipeline.Stats{}, false
-	}
-	return b.lastSum.Stats, true
 }

@@ -13,14 +13,17 @@ import (
 	"vprofile/internal/control"
 	"vprofile/internal/control/controlapi"
 	"vprofile/internal/control/controlserver"
+	"vprofile/internal/pipeline"
 )
 
 // TestDaemonLifecycleNoLeaks drives a seeded attach → stream → detach
 // → re-attach → policy reload → drain sequence over three buses that
 // share the daemon fleet's worker pool. Every finished feed must
-// conserve frames (RecordsIn == RecordsOut), the drain must finish
-// inside its timeout with no session still live, and the goroutine
-// count must return to its pre-test baseline.
+// conserve frames (RecordsIn == RecordsOut) and return every pooled
+// record and batch buffer it took — after a clean end, a mid-stream
+// detach and the drain alike — the drain must finish inside its
+// timeout with no session still live, and the goroutine count must
+// return to its pre-test baseline.
 func TestDaemonLifecycleNoLeaks(t *testing.T) {
 	dir, modelPath, _, capture := fixtureDir(t)
 	if err := os.WriteFile(filepath.Join(dir, "model2.vpm"), mustRead(t, modelPath), 0o644); err != nil {
@@ -51,8 +54,22 @@ func TestDaemonLifecycleNoLeaks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// feed streams the first n bytes of the capture into a bus.
-	feed := func(bus string, n int) {
+	// noBuffersOutstanding checks the recycler accounting of a bus's
+	// most recently finished feed.
+	noBuffersOutstanding := func(bus string, feedStats func() (pipeline.Stats, bool)) {
+		t.Helper()
+		stats, ok := feedStats()
+		if !ok {
+			t.Fatalf("bus %s: no finished feed", bus)
+		}
+		if stats.BuffersOutstanding != 0 {
+			t.Fatalf("bus %s: %d pooled buffers outstanding after its feed ended", bus, stats.BuffersOutstanding)
+		}
+	}
+	// feed streams the first n bytes of the capture into a bus and
+	// returns the open connection: the feed stays live, blocked on its
+	// next read, until the caller closes it or the daemon stops it.
+	feed := func(bus string, n int) net.Conn {
 		t.Helper()
 		st, err := d.BusStatus(bus)
 		if err != nil {
@@ -66,10 +83,11 @@ func TestDaemonLifecycleNoLeaks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
 		if _, err := conn.Write(capture[:n]); err != nil {
+			conn.Close()
 			t.Fatal(err)
 		}
+		return conn
 	}
 	// streamAll feeds the whole capture into every bus, in a seeded
 	// order, and checks each finished feed's frame accounting.
@@ -81,7 +99,7 @@ func TestDaemonLifecycleNoLeaks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			feed(bus, len(capture))
+			feed(bus, len(capture)).Close()
 			st := waitBusDone(t, d, bus, before.SessionsDone+1)
 			if st.SessionsAborted != 0 {
 				t.Fatalf("round %d bus %s: feed aborted: %s", round, bus, st.LastError)
@@ -90,6 +108,7 @@ func TestDaemonLifecycleNoLeaks(t *testing.T) {
 			if !ok || stats.RecordsIn != stats.RecordsOut || stats.RecordsOut == 0 {
 				t.Fatalf("round %d bus %s: feed lost frames: in %d out %d", round, bus, stats.RecordsIn, stats.RecordsOut)
 			}
+			noBuffersOutstanding(bus, controlserver.FeedStatsReader(d, bus))
 		}
 	}
 
@@ -98,7 +117,8 @@ func TestDaemonLifecycleNoLeaks(t *testing.T) {
 	// Detach a seeded bus mid-stream, then bring it back with its
 	// policy spec.
 	victim := buses[rng.Intn(len(buses))]
-	feed(victim, len(capture)/4+rng.Intn(len(capture)/2))
+	victimConn := feed(victim, len(capture)/4+rng.Intn(len(capture)/2))
+	defer victimConn.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st, err := d.BusStatus(victim)
@@ -113,6 +133,7 @@ func TestDaemonLifecycleNoLeaks(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	victimStats := controlserver.FeedStatsReader(d, victim)
 	st, err := d.Detach(victim, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -120,6 +141,7 @@ func TestDaemonLifecycleNoLeaks(t *testing.T) {
 	if st.Live || st.SessionsDone != st.Sessions {
 		t.Fatalf("detach left bus %s's session running: %+v", victim, st)
 	}
+	noBuffersOutstanding(victim, victimStats)
 	if _, err := d.Attach(*policy.Bus(victim)); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +162,8 @@ func TestDaemonLifecycleNoLeaks(t *testing.T) {
 	// Leave one feed live across the drain: it must be stopped within
 	// the timeout, not outlive it.
 	live := buses[rng.Intn(len(buses))]
-	feed(live, len(capture)/2)
+	liveConn := feed(live, len(capture)/2)
+	defer liveConn.Close()
 	const drainTimeout = 5 * time.Second
 	start := time.Now()
 	d.Drain(drainTimeout)
@@ -155,6 +178,7 @@ func TestDaemonLifecycleNoLeaks(t *testing.T) {
 		if st.Live || st.SessionsDone != st.Sessions {
 			t.Fatalf("bus %s outlived the drain: %+v", bus, st)
 		}
+		noBuffersOutstanding(bus, controlserver.FeedStatsReader(d, bus))
 	}
 
 	deadline = time.Now().Add(10 * time.Second)

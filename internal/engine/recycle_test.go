@@ -1,0 +1,199 @@
+package engine_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"runtime"
+	"testing"
+
+	"vprofile/internal/engine"
+	"vprofile/internal/ids"
+	"vprofile/internal/obs"
+	"vprofile/internal/pipeline"
+	"vprofile/internal/trace"
+)
+
+// streamSession builds a session streaming data through a StreamSource,
+// the path every vprofiled feed takes.
+func streamSession(t testing.TB, data []byte, opts ...engine.Option) *engine.Session {
+	t.Helper()
+	src, err := engine.NewStreamSource("stream", io.NopCloser(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.NewSession("", append([]engine.Option{engine.WithSource(src)}, opts...)...)
+}
+
+// maxSteadyAllocsPerFrame bounds the whole process's heap allocations
+// per frame on an untraced stream session in steady state. Record
+// buffers, batches and frame headers are all recycled, so what remains
+// is per-batch pool bookkeeping (about 0.3 measured); a pipeline that
+// allocates a raw record and a float64 trace per frame sits near 13.
+const maxSteadyAllocsPerFrame = 1
+
+// TestSessionSteadyStateAllocs is the allocation regression gate of
+// the daemon hot path: after one warm-up session has filled the shared
+// buffer pools, a second session over a StreamSource must stay under
+// maxSteadyAllocsPerFrame, counted from the sink across everything the
+// process allocates between two points mid-stream.
+func TestSessionSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool puts at random")
+	}
+	m := sharedModel(t)
+	data := buildCapture(t, 301, 1500, 50)
+	const from, to = 500, 1400
+
+	run := func(measure bool) float64 {
+		tally := engine.NewTally()
+		var before, after runtime.MemStats
+		sess := streamSession(t, data, engine.WithModel(m), engine.WithWorkers(2))
+		_, err := sess.Run(func(res engine.Result) error {
+			tally.Observe(res.Result)
+			if measure && res.Index == from {
+				runtime.ReadMemStats(&before)
+			}
+			if measure && res.Index == to {
+				runtime.ReadMemStats(&after)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.Mallocs-before.Mallocs) / float64(to-from)
+	}
+	run(false)
+	got := run(true)
+	if got > maxSteadyAllocsPerFrame {
+		t.Fatalf("stream session allocates %.2f times per frame in steady state, want <= %d", got, maxSteadyAllocsPerFrame)
+	}
+	t.Logf("%.2f allocs/frame in steady state", got)
+}
+
+// recordSum checksums (FNV-1a over whole values) the parts of a
+// result the aliasing contract covers: the record's payload and trace,
+// and the frame's payload.
+func recordSum(r pipeline.Result) uint64 {
+	sum := uint64(14695981039346656037)
+	mix := func(v uint64) { sum = (sum ^ v) * 1099511628211 }
+	for _, v := range r.Record.Trace {
+		mix(math.Float64bits(v))
+	}
+	for _, b := range r.Record.Data {
+		mix(uint64(b))
+	}
+	for _, b := range r.Frame.Data {
+		mix(uint64(b))
+	}
+	return sum
+}
+
+// TestSinkAliasingContract pins the Result aliasing contract on the
+// daemon path: on an untraced stream session the record buffers are
+// recycled, so they must stay untouched for the whole sink call and
+// may be reused the moment it returns. At every workers × batch shape,
+// each sink call checksums Record.Trace, Record.Data and Frame.Data,
+// yields, and checksums again — a buffer recycled mid-call changes the
+// sum, and under -race the overlapping write is reported — and the
+// sums must match a pipeline.Sequential reference, record for record.
+//
+// The sink then runs the in-tree consumers — Tally.Observe, which the
+// daemon's bus sink and the busmon/vprofile sinks wrap, and
+// VoltageEvent — with the drift and incident wrappers on, and finally
+// scribbles over the record: what recycling does to it next. A
+// consumer that kept a pointer into the record would report scribbled
+// data; the tallies and events must instead equal the reference's.
+// (Scoreboard.Observe takes only the index and verdict, so it cannot
+// keep record memory.)
+func TestSinkAliasingContract(t *testing.T) {
+	m := sharedModel(t)
+	data := buildCapture(t, 302, 500, 120)
+
+	rd, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := ids.NewComposite(m, ids.CompositeConfig{Extraction: engine.ExtractionFor(rd.Header())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantSums []uint64
+	wantTally := engine.NewTally()
+	var wantEvents []obs.Event
+	_, err = pipeline.Sequential(rd, mon, func(r pipeline.Result) error {
+		wantSums = append(wantSums, recordSum(r))
+		wantEvents = append(wantEvents, wantTally.Observe(r)...)
+		if r.Verdict.Voltage.Anomaly {
+			wantEvents = append(wantEvents, engine.VoltageEvent(r))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 4, 8} {
+		for _, batch := range []int{1, 7, 64} {
+			t.Run(fmt.Sprintf("workers=%d/batch=%d", workers, batch), func(t *testing.T) {
+				tally := engine.NewTally()
+				var events []obs.Event
+				alarms := 0
+				sess := streamSession(t, data, engine.WithModel(m),
+					engine.WithWorkers(workers), engine.WithBatch(batch),
+					engine.WithDrift(true), engine.WithIncidents(true))
+				sum, err := sess.Run(func(res engine.Result) error {
+					r := res.Result
+					if r.Index >= len(wantSums) {
+						return fmt.Errorf("extra result %d", r.Index)
+					}
+					got := recordSum(r)
+					runtime.Gosched()
+					if again := recordSum(r); again != got {
+						return fmt.Errorf("record %d changed during its sink call", r.Index)
+					}
+					if got != wantSums[r.Index] {
+						return fmt.Errorf("record %d: checksum %x, reference %x", r.Index, got, wantSums[r.Index])
+					}
+					events = append(events, tally.Observe(r)...)
+					if r.Verdict.Voltage.Anomaly {
+						events = append(events, engine.VoltageEvent(r))
+					}
+					if r.Verdict.Alarm() {
+						alarms++
+					}
+					for i := range r.Record.Trace {
+						r.Record.Trace[i] = math.NaN()
+					}
+					for i := range r.Record.Data {
+						r.Record.Data[i] = 0xA5
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := int(sum.Stats.RecordsOut); n != len(wantSums) {
+					t.Fatalf("delivered %d of %d records", n, len(wantSums))
+				}
+				if n := sum.Stats.BuffersOutstanding; n != 0 {
+					t.Fatalf("%d pooled buffers outstanding after the run", n)
+				}
+				if alarms == 0 {
+					t.Fatal("no alarms; the consumers were never exercised")
+				}
+				if got, want := tally.Table(), wantTally.Table(); got != want {
+					t.Fatalf("tally diverges from the reference:\n%s\nwant:\n%s", got, want)
+				}
+				got, _ := json.Marshal(events)
+				want, _ := json.Marshal(wantEvents)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("events diverge from the reference:\n%s\nwant:\n%s", got, want)
+				}
+			})
+		}
+	}
+}

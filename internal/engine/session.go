@@ -62,7 +62,11 @@ func ExtractionFor(h trace.Header) edgeset.Config {
 }
 
 // Result is one record's verdict tagged with the bus it came from
-// (empty on single-bus runs).
+// (empty on single-bus runs). It carries pipeline.Result's aliasing
+// contract: Frame, and on an untraced session Record (its Data and
+// Trace) and Frame.Data, are recycled once the sink call returns, so a
+// sink must copy whatever of them it keeps. Bus, Index, Verdict and
+// Trace may be kept freely.
 type Result struct {
 	Bus string
 	pipeline.Result
@@ -70,7 +74,8 @@ type Result struct {
 
 // Sink receives results in record order (per bus). A non-nil error
 // stops that bus's replay. A fleet serialises the calls, so one sink
-// may be shared across buses without locking.
+// may be shared across buses without locking. The Result's record
+// buffers are valid only for the duration of the call (see Result).
 type Sink func(Result) error
 
 // Summary is everything a session learned by the end of its replay —

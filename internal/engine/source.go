@@ -168,7 +168,7 @@ func (s *StreamSource) NextRaw() (*trace.RawRecord, error) {
 }
 
 // NextRawInto implements the pipeline's zero-allocation refinement,
-// keeping Config.PoolBuffers effective over socket feeds.
+// so untraced replays recycle record buffers over socket feeds too.
 func (s *StreamSource) NextRawInto(rec *trace.RawRecord) error {
 	if s.stopped.Load() {
 		return io.EOF

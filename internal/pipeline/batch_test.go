@@ -59,7 +59,7 @@ func TestBatchedPipelineMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 				mon := newMonitor(t, v, model)
-				p, err := pipeline.New(mon, pipeline.Config{Workers: workers, Batch: batch, PoolBuffers: true})
+				p, err := pipeline.New(mon, pipeline.Config{Workers: workers, Batch: batch})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,7 +83,7 @@ func TestBatchedPipelineMatchesSequential(t *testing.T) {
 				if idx != len(want) {
 					t.Fatalf("pipeline delivered %d of %d records", idx, len(want))
 				}
-				if n := p.OutstandingBuffers(); n != 0 {
+				if n := p.Stats().BuffersOutstanding; n != 0 {
 					t.Fatalf("%d pooled buffers still outstanding after a clean run", n)
 				}
 			})
@@ -112,7 +112,7 @@ func TestAbandonedBatchReleasesBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := newMonitor(t, v, model)
-	p, err := pipeline.New(mon, pipeline.Config{Pool: pool, Batch: 7, PoolBuffers: true})
+	p, err := pipeline.New(mon, pipeline.Config{Pool: pool, Batch: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestAbandonedBatchReleasesBuffers(t *testing.T) {
 	if delivered != 10 {
 		t.Fatalf("sink saw %d results, want 10", delivered)
 	}
-	if n := p.OutstandingBuffers(); n != 0 {
+	if n := p.Stats().BuffersOutstanding; n != 0 {
 		t.Fatalf("%d pooled buffers leaked by the abandoned replay", n)
 	}
 
@@ -142,7 +142,7 @@ func TestAbandonedBatchReleasesBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon2 := newMonitor(t, v, model)
-	p2, err := pipeline.New(mon2, pipeline.Config{Pool: pool, Batch: 7, PoolBuffers: true})
+	p2, err := pipeline.New(mon2, pipeline.Config{Pool: pool, Batch: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestAbandonedBatchReleasesBuffers(t *testing.T) {
 	if count == 0 {
 		t.Fatal("second replay on the shared pool delivered nothing")
 	}
-	if n := p2.OutstandingBuffers(); n != 0 {
+	if n := p2.Stats().BuffersOutstanding; n != 0 {
 		t.Fatalf("%d pooled buffers outstanding after the clean second replay", n)
 	}
 }
@@ -170,7 +170,7 @@ func TestSourceErrorFlushesPrefixUnderBatching(t *testing.T) {
 	srcErr := errors.New("source corrupted")
 	src := &errorSource{src: newReaderFor(t, capture), n: 25, err: srcErr}
 	mon := newMonitor(t, v, model)
-	p, err := pipeline.New(mon, pipeline.Config{Workers: 4, Batch: 8, PoolBuffers: true})
+	p, err := pipeline.New(mon, pipeline.Config{Workers: 4, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSourceErrorFlushesPrefixUnderBatching(t *testing.T) {
 	if idx != 25 {
 		t.Fatalf("sink saw %d records before the error, want the full 25-record prefix", idx)
 	}
-	if n := p.OutstandingBuffers(); n != 0 {
+	if n := p.Stats().BuffersOutstanding; n != 0 {
 		t.Fatalf("%d pooled buffers leaked on the source-error path", n)
 	}
 }

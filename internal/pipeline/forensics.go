@@ -12,7 +12,7 @@ import (
 // either freshly allocated here or owned exclusively by this frame
 // (the record's payload and trace, the extracted edge set), honouring
 // the recorder's immutability contract.
-func buildDecision(idx int, cur scored, verdict ids.CompositeResult, state ids.SequenceState) *tracing.Decision {
+func buildDecision(idx int, cur *scored, verdict ids.CompositeResult, state ids.SequenceState) *tracing.Decision {
 	// The record lives in the FrameTrace's own allocation — the trace,
 	// its spans and the decision are one per-frame object.
 	d := cur.ft.DecisionSlot()

@@ -60,7 +60,7 @@ type RawSource interface {
 
 // rawIntoSource is the zero-allocation refinement of RawSource:
 // sources that can refill a caller-owned raw record (*trace.Reader)
-// enable Config.PoolBuffers to recycle record buffers end to end.
+// let an untraced replay recycle record buffers end to end.
 type rawIntoSource interface {
 	NextRawInto(*trace.RawRecord) error
 }
@@ -90,17 +90,6 @@ type Config struct {
 	// bounding how far the reader may run ahead of the sink (roughly
 	// Depth×Batch records per channel); zero means 4×Workers.
 	Depth int
-	// PoolBuffers recycles record buffers (raw byte payloads and
-	// decoded traces) through sync.Pools instead of allocating per
-	// frame — at replay rates the per-frame trace alone is tens of
-	// kilobytes, enough to make the allocator and GC the bottleneck.
-	// The cost is an aliasing contract: a Result's Record (its Data and
-	// Trace) is valid only for the duration of the sink call and must
-	// be copied if retained. Ignored on traced replays (Recorder set),
-	// whose forensic bundles retain record internals indefinitely, and
-	// on sources that cannot refill caller-owned records (anything but
-	// a trace.Reader-style RawSource).
-	PoolBuffers bool
 	// Metrics, when non-nil, makes the pipeline publish per-stage
 	// counters, latency histograms and the reorder-queue depth gauge
 	// (see NewMetrics). Instrumentation is atomic-only on the hot path
@@ -135,6 +124,17 @@ var ErrStalled = errors.New("pipeline: replay stalled (sink made no progress wit
 
 // Result is one record's verdict, delivered to the sink in record
 // order.
+//
+// Aliasing contract: a sink that keeps anything a Result points to
+// past its own call must copy it. Frame points into the pipeline's
+// recycled batch storage on every replay. On an untraced replay over a
+// source that refills caller-owned records (*trace.Reader and anything
+// wrapping its NextRawInto), Record — its Data and Trace — is recycled
+// too, and so is Frame.Data, which aliases Record.Data: at replay
+// rates the per-frame trace alone is tens of kilobytes, enough to make
+// the allocator and GC the bottleneck. Traced replays (Config has a
+// Recorder) allocate every record, because their forensic bundles
+// retain record internals. Index, Verdict and Trace may be kept freely.
 type Result struct {
 	Index   int
 	Record  *trace.Record
@@ -166,6 +166,11 @@ type Stats struct {
 	// time workers spent extracting and scoring.
 	WallTime   time.Duration
 	WorkerBusy time.Duration
+	// BuffersOutstanding counts the pooled batch and record buffers the
+	// replay has taken and not yet returned. Once Run has returned —
+	// cleanly, on error or abandoned — it must be zero; anything else
+	// is a leak.
+	BuffersOutstanding int64
 }
 
 // Utilization is the fraction of total worker capacity spent doing
@@ -189,11 +194,9 @@ type Replayer struct {
 	recorder *tracing.Recorder
 	stall    time.Duration
 
-	// poolBuffers is the Config.PoolBuffers request; rc is the buffer
-	// recycler Run builds once it knows whether the source supports
-	// record refilling (rc.records is the effective decision).
-	poolBuffers bool
-	rc          *recycler
+	// rc is the replay's buffer accounting; Run sets rc.records once it
+	// knows whether the source supports record refilling.
+	rc *recycler
 
 	ran             atomic.Bool
 	recordsIn       atomic.Int64
@@ -231,7 +234,7 @@ func New(mon *ids.Composite, cfg Config) (*Replayer, error) {
 	return &Replayer{
 		mon: mon, pool: cfg.Pool, workers: workers, batch: batch, depth: depth,
 		metrics: cfg.Metrics, recorder: cfg.Recorder, stall: cfg.StallTimeout,
-		poolBuffers: cfg.PoolBuffers,
+		rc: &recycler{batch: batch},
 	}, nil
 }
 
@@ -244,12 +247,13 @@ func (p *Replayer) Stats() Stats {
 		}
 	}
 	return Stats{
-		Workers:         p.workers,
-		RecordsIn:       p.recordsIn.Load(),
-		RecordsOut:      p.recordsOut.Load(),
-		ExtractFailures: p.extractFailures.Load(),
-		WallTime:        wall,
-		WorkerBusy:      time.Duration(p.busyNanos.Load()),
+		Workers:            p.workers,
+		RecordsIn:          p.recordsIn.Load(),
+		RecordsOut:         p.recordsOut.Load(),
+		ExtractFailures:    p.extractFailures.Load(),
+		WallTime:           wall,
+		WorkerBusy:         time.Duration(p.busyNanos.Load()),
+		BuffersOutstanding: p.rc.outstanding.Load(),
 	}
 }
 
@@ -257,16 +261,18 @@ func (p *Replayer) Stats() Stats {
 // replays only) travels with the job and is only ever touched by the
 // goroutine currently holding it.
 type job struct {
-	idx   int
-	raw   *trace.RawRecord // nil once decoded
-	rec   *trace.Record
-	frame *canbus.ExtendedFrame
-	ft    *tracing.FrameTrace
+	idx int
+	raw *trace.RawRecord // nil once decoded
+	rec *trace.Record
+	ft  *tracing.FrameTrace
 }
 
-// scored is a job annotated with its stateless verdict.
+// scored is a job annotated with its frame header and stateless
+// verdict. The frame lives in the scored batch itself, so building it
+// costs no allocation; Result.Frame points here.
 type scored struct {
 	job
+	frame      canbus.ExtendedFrame
 	det        core.Detection
 	forensics  ids.Forensics
 	extractErr error
@@ -305,22 +311,19 @@ func (p *Replayer) processBatch(jobs []job, out chan<- []scored, abandon <-chan 
 				m.DecodeSeconds.Observe(time.Since(t0).Seconds())
 			}
 		}
-		j.frame = &canbus.ExtendedFrame{ID: j.rec.FrameID, Data: j.rec.Data}
-		var det core.Detection
-		var forensics ids.Forensics
-		var err error
+		sb = append(sb, scored{job: j, frame: canbus.ExtendedFrame{ID: j.rec.FrameID, Data: j.rec.Data}})
+		s := &sb[len(sb)-1]
 		if j.ft != nil {
-			det, forensics, err = p.mon.VoltageVerdictTraced(j.frame, j.rec.Trace, j.ft)
+			s.det, s.forensics, s.extractErr = p.mon.VoltageVerdictTraced(&s.frame, j.rec.Trace, j.ft)
 		} else {
-			det, err = p.mon.VoltageVerdict(j.frame, j.rec.Trace)
+			s.det, s.extractErr = p.mon.VoltageVerdict(&s.frame, j.rec.Trace)
 		}
-		if err != nil {
+		if s.extractErr != nil {
 			p.extractFailures.Add(1)
 			if m != nil {
 				m.ExtractFailures.Inc()
 			}
 		}
-		sb = append(sb, scored{job: j, det: det, forensics: forensics, extractErr: err})
 		// Per-record, not per-batch: the stall watchdog reads this as
 		// its liveness signal, and a large batch mid-scoring must look
 		// like progress, not a wedge.
@@ -357,10 +360,10 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 	// Record-buffer recycling needs a source that can refill
 	// caller-owned records and a sink path that retains nothing past
 	// the sink call — traced replays retain forensics, so they keep
-	// allocating regardless of the request.
+	// allocating.
 	intoSrc, _ := src.(rawIntoSource)
-	p.rc = newRecycler(p.batch, p.poolBuffers && p.recorder == nil && intoSrc != nil)
 	rc := p.rc
+	rc.records = p.recorder == nil && intoSrc != nil
 
 	jobs := make(chan []job, p.depth)
 	out := make(chan []scored, p.depth)
@@ -577,78 +580,99 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 	}()
 
 	// Stage 3: re-sequence by index, then run the stateful detectors
-	// in arrival order. The pending map is bounded by the records in
-	// flight (≤ Batch×(2×Depth + workers)), so memory stays flat even
-	// when one slow record holds up its successors. On an aborted
-	// replay the deferred cleanup drains out (the dispatcher closes it
-	// once the workers unwedge via abandon) and releases both the
-	// drained batches and the undelivered pending entries, so no pooled
-	// buffer is stranded on any exit path.
+	// in arrival order. Every batch holds a contiguous run of indices
+	// (the reader cuts them that way and workers keep their order), so
+	// batches park in pending under their first index and are
+	// delivered whole. pending is bounded by the batches in flight
+	// (≤ 2×Depth + workers), so memory stays flat even when one slow
+	// batch holds up its successors. On an aborted replay the deferred
+	// cleanup releases the batch being delivered (its delivered
+	// entries no longer hold a record), drains out (the dispatcher
+	// closes it once the workers unwedge via abandon) and releases
+	// every pending batch, so no pooled buffer is stranded on any exit
+	// path.
 	next := 0
 	m := p.metrics
-	pending := make(map[int]scored, p.depth*p.batch)
+	pending := make(map[int][]scored, 2*p.depth+p.workers)
+	pendingRecords := 0
+	var cur []scored
 	defer func() {
+		if cur != nil {
+			rc.releaseScored(cur)
+		}
 		for sb := range out {
 			rc.releaseScored(sb)
 		}
-		for idx, s := range pending {
-			rc.releaseScoredEntry(s)
+		for idx, sb := range pending {
+			rc.releaseScored(sb)
 			delete(pending, idx)
 		}
 	}()
-	for sb := range out {
-		for _, s := range sb {
-			pending[s.idx] = s
+	// deliver runs the stateful detectors over one scored record, hands
+	// it to the sink and recycles its record; false means the replay
+	// must stop (sink error or stall).
+	deliver := func(s *scored) bool {
+		var t0 time.Time
+		if m != nil {
+			t0 = time.Now()
 		}
-		rc.putScoredBatch(sb)
+		var state ids.SequenceState
+		if s.ft != nil {
+			// Snapshot the stateful detectors BEFORE Sequence mutates
+			// them: the decision record must hold the state the verdict
+			// was judged against.
+			state = p.mon.StateFor(s.frame.ID)
+		}
+		sp := s.ft.StartSpan("pipeline.sequence")
+		verdict := p.mon.Sequence(&s.frame, s.rec.TimeSec, s.det, s.extractErr)
+		sp.End()
+		p.recordsOut.Add(1)
+		if p.recorder != nil {
+			p.recorder.Record(buildDecision(next, s, verdict, state))
+		}
+		err := fn(Result{Index: next, Record: s.rec, Frame: &s.frame, Verdict: verdict, Trace: s.ft})
+		if rc.records {
+			// The sink call is over; the Result aliasing contract says
+			// the record may now be recycled.
+			rc.putRec(s.rec)
+		}
+		s.rec = nil
+		if m != nil {
+			m.SequenceSeconds.Observe(time.Since(t0).Seconds())
+			m.RecordsOut.Inc()
+		}
+		if err != nil {
+			setErr(err)
+			abort()
+			return false
+		}
+		next++
+		// The watchdog may have fired while this sink call was in
+		// flight; stop delivering rather than racing the draining
+		// stages.
+		return !stalled.Load()
+	}
+	for sb := range out {
+		pending[sb[0].idx] = sb
+		pendingRecords += len(sb)
 		for {
-			cur, ok := pending[next]
+			b, ok := pending[next]
 			if !ok {
 				break
 			}
 			delete(pending, next)
-			var t0 time.Time
-			if m != nil {
-				t0 = time.Now()
+			pendingRecords -= len(b)
+			cur = b
+			for i := range cur {
+				if !deliver(&cur[i]) {
+					return getErr()
+				}
 			}
-			var state ids.SequenceState
-			if cur.ft != nil {
-				// Snapshot the stateful detectors BEFORE Sequence mutates
-				// them: the decision record must hold the state the
-				// verdict was judged against.
-				state = p.mon.StateFor(cur.frame.ID)
-			}
-			sp := cur.ft.StartSpan("pipeline.sequence")
-			verdict := p.mon.Sequence(cur.frame, cur.rec.TimeSec, cur.det, cur.extractErr)
-			sp.End()
-			p.recordsOut.Add(1)
-			if p.recorder != nil {
-				p.recorder.Record(buildDecision(next, cur, verdict, state))
-			}
-			err := fn(Result{Index: next, Record: cur.rec, Frame: cur.frame, Verdict: verdict, Trace: cur.ft})
-			if rc.records {
-				// The sink call is over; the PoolBuffers contract says the
-				// record may now be recycled.
-				rc.putRec(cur.rec)
-			}
-			if m != nil {
-				m.SequenceSeconds.Observe(time.Since(t0).Seconds())
-				m.RecordsOut.Inc()
-			}
-			if err != nil {
-				setErr(err)
-				abort()
-				return getErr()
-			}
-			if stalled.Load() {
-				// The watchdog fired while this sink call was in flight;
-				// stop delivering rather than racing the draining stages.
-				return getErr()
-			}
-			next++
+			rc.putScoredBatch(cur)
+			cur = nil
 		}
 		if m != nil {
-			m.QueueDepth.Set(int64(len(pending)))
+			m.QueueDepth.Set(int64(pendingRecords))
 			m.PoolOutstanding.Set(rc.outstanding.Load())
 		}
 	}

@@ -7,63 +7,78 @@ import (
 	"vprofile/internal/trace"
 )
 
-// recycler pools the pipeline's per-batch and per-record buffers so
-// the steady-state hot path stops allocating. Batch slices are always
-// pooled; raw/decoded record buffers only when records is true (the
-// Config.PoolBuffers opt-in, and never on traced replays, whose
-// forensic bundles retain record internals past the sink call).
+// The buffer pools are package-level, shared by every replay in the
+// process: a new session, a re-attached bus or a reconnecting feed
+// starts on warm buffers instead of refilling its whole in-flight set
+// from the heap. Pooled batch slices carry no record pointers (they are
+// cleared on put) and pooled records are fully overwritten on reuse,
+// so sharing is invisible to verdicts.
+var (
+	jobBatchPool    sync.Pool
+	scoredBatchPool sync.Pool
+	rawPool         = sync.Pool{New: func() any { return new(trace.RawRecord) }}
+	recPool         = sync.Pool{New: func() any { return new(trace.Record) }}
+)
+
+// maxPooledSamples bounds the trace capacity a pooled record may keep:
+// about 2.4 times the longest stuffed extended frame at the fastest
+// digitiser rate (~13.6k samples at 20 MS/s, 250 kb/s). Buffers grown
+// past it — one hostile or corrupt record may claim up to 16M samples,
+// 128 MiB of float64 — go back to the garbage collector instead of
+// staying pinned in a pool.
+const maxPooledSamples = 1 << 15
+
+// recycler is one replay's view of the shared pools: it hands out
+// per-batch and per-record buffers so the steady-state hot path stops
+// allocating, and counts them. Batch slices are always pooled;
+// raw/decoded record buffers only when records is true — untraced
+// replays over a source that refills caller-owned records. Traced
+// replays keep allocating records, because their forensic bundles
+// retain record internals past the sink call.
 //
-// outstanding counts gets minus puts across every pooled object kind.
-// It exists for leak accounting in tests: a replay that ends — cleanly,
-// on a sink error, or abandoned mid-batch — must return every buffer
-// it took, or an abandoned batch would strand its buffers (and, before
-// this accounting existed, silently mask a stranded worker slot).
+// outstanding counts this replay's gets minus puts across every pooled
+// object kind. A replay that ends — cleanly, on a sink error, or
+// abandoned mid-batch — must return every buffer it took, or an
+// abandoned batch would strand its buffers (and, before this
+// accounting existed, silently mask a stranded worker slot).
 type recycler struct {
 	batch   int
 	records bool
 
-	jobBatches    sync.Pool
-	scoredBatches sync.Pool
-	raws          sync.Pool
-	recs          sync.Pool
-
 	outstanding atomic.Int64
-}
-
-func newRecycler(batch int, records bool) *recycler {
-	rc := &recycler{batch: batch, records: records}
-	rc.jobBatches.New = func() any { return make([]job, 0, batch) }
-	rc.scoredBatches.New = func() any { return make([]scored, 0, batch) }
-	rc.raws.New = func() any { return new(trace.RawRecord) }
-	rc.recs.New = func() any { return new(trace.Record) }
-	return rc
 }
 
 func (rc *recycler) getJobBatch() []job {
 	rc.outstanding.Add(1)
-	return rc.jobBatches.Get().([]job)[:0]
+	if b, ok := jobBatchPool.Get().([]job); ok && cap(b) >= rc.batch {
+		return b
+	}
+	return make([]job, 0, rc.batch)
 }
 
 func (rc *recycler) putJobBatch(b []job) {
 	rc.outstanding.Add(-1)
 	clear(b) // drop record/trace pointers so the pool retains nothing
-	rc.jobBatches.Put(b[:0])
+	jobBatchPool.Put(b[:0])
 }
 
 func (rc *recycler) getScoredBatch() []scored {
 	rc.outstanding.Add(1)
-	return rc.scoredBatches.Get().([]scored)[:0]
+	if b, ok := scoredBatchPool.Get().([]scored); ok && cap(b) >= rc.batch {
+		return b
+	}
+	return make([]scored, 0, rc.batch)
 }
 
 func (rc *recycler) putScoredBatch(b []scored) {
 	rc.outstanding.Add(-1)
 	clear(b)
-	rc.scoredBatches.Put(b[:0])
+	scoredBatchPool.Put(b[:0])
 }
 
 func (rc *recycler) getRaw() *trace.RawRecord {
 	rc.outstanding.Add(1)
-	return rc.raws.Get().(*trace.RawRecord)
+	return rawPool.Get().(*trace.RawRecord)
 }
 
 func (rc *recycler) putRaw(r *trace.RawRecord) {
@@ -71,12 +86,15 @@ func (rc *recycler) putRaw(r *trace.RawRecord) {
 		return
 	}
 	rc.outstanding.Add(-1)
-	rc.raws.Put(r)
+	if cap(r.Codes) > 2*maxPooledSamples {
+		return
+	}
+	rawPool.Put(r)
 }
 
 func (rc *recycler) getRec() *trace.Record {
 	rc.outstanding.Add(1)
-	return rc.recs.Get().(*trace.Record)
+	return recPool.Get().(*trace.Record)
 }
 
 func (rc *recycler) putRec(r *trace.Record) {
@@ -84,7 +102,10 @@ func (rc *recycler) putRec(r *trace.Record) {
 		return
 	}
 	rc.outstanding.Add(-1)
-	rc.recs.Put(r)
+	if cap(r.Trace) > maxPooledSamples {
+		return
+	}
+	recPool.Put(r)
 }
 
 // releaseJobs returns an abandoned job batch and, in record-pooling
@@ -99,28 +120,14 @@ func (rc *recycler) releaseJobs(b []job) {
 	rc.putJobBatch(b)
 }
 
-// releaseScored returns an abandoned scored batch and its record
-// buffers (raw is nil by this stage; the decoded record may be pooled).
+// releaseScored returns an abandoned scored batch and the record
+// buffers its undelivered entries still hold (raw is nil by this
+// stage; the decoded record may be pooled).
 func (rc *recycler) releaseScored(b []scored) {
-	rc.releaseScoredEntries(b)
-	rc.putScoredBatch(b)
-}
-
-// releaseScoredEntries returns only the record buffers of entries that
-// were copied out of their batch (the reorder stage's pending map).
-func (rc *recycler) releaseScoredEntries(b []scored) {
 	if rc.records {
 		for i := range b {
-			rc.putRaw(b[i].raw)
 			rc.putRec(b[i].rec)
 		}
 	}
-}
-
-// releaseScoredEntry is releaseScoredEntries for one map-held entry.
-func (rc *recycler) releaseScoredEntry(s scored) {
-	if rc.records {
-		rc.putRaw(s.raw)
-		rc.putRec(s.rec)
-	}
+	rc.putScoredBatch(b)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"reflect"
 	"testing"
 
 	"vprofile/internal/faults"
@@ -68,4 +70,68 @@ func FuzzReaderResync(f *testing.F) {
 			t.Fatalf("reports claim %d bytes skipped from a %d-byte stream", skipped, len(data))
 		}
 	})
+}
+
+// FuzzNextRawInto checks the buffer-reusing read path against the
+// allocating one on arbitrary bytes: one RawRecord, reused across the
+// whole stream — growing, shrinking, and left half-filled by a failed
+// read — must yield exactly what NextRaw yields, record for record and
+// error for error, in strict and recovering mode alike.
+func FuzzNextRawInto(f *testing.F) {
+	clean, _, _ := resyncFixture(f, 6)
+	f.Add(clean)
+	for seed := int64(1); seed <= 3; seed++ {
+		hurt, _ := faults.CorruptStream(clean, faults.StreamSpec{Flips: 4, Garbage: 2, Chops: 2, Truncate: seed == 2}, seed)
+		f.Add(hurt)
+	}
+	f.Add([]byte("VPTR"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, recovering := range []bool{false, true} {
+			ra, err := trace.NewReader(bytes.NewReader(data))
+			if err != nil {
+				return
+			}
+			rb, err := trace.NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("second reader over the same header failed: %v", err)
+			}
+			if recovering {
+				ra.EnableRecovery()
+				rb.EnableRecovery()
+			}
+			var raw trace.RawRecord
+			for i := 0; ; i++ {
+				want, wantErr := ra.NextRaw()
+				gotErr := rb.NextRawInto(&raw)
+				if errText(wantErr) != errText(gotErr) {
+					t.Fatalf("recovering=%v record %d: NextRaw err %v, NextRawInto err %v", recovering, i, wantErr, gotErr)
+				}
+				if wantErr != nil {
+					break
+				}
+				if raw.ECUIndex != want.ECUIndex || raw.FrameID != want.FrameID ||
+					math.Float64bits(raw.TimeSec) != math.Float64bits(want.TimeSec) {
+					t.Fatalf("recovering=%v record %d header: %+v vs %+v", recovering, i, raw, *want)
+				}
+				if !bytes.Equal(raw.Data, want.Data) || !bytes.Equal(raw.Codes, want.Codes) {
+					t.Fatalf("recovering=%v record %d payload mismatch", recovering, i)
+				}
+				if i > len(data) {
+					t.Fatalf("decoded %d records from %d bytes", i, len(data))
+				}
+			}
+			if !reflect.DeepEqual(ra.Corruptions(), rb.Corruptions()) {
+				t.Fatalf("corruption reports differ: %+v vs %+v", ra.Corruptions(), rb.Corruptions())
+			}
+		}
+	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

@@ -111,3 +111,48 @@ func TestDecodeIntoCopiesData(t *testing.T) {
 		t.Fatalf("Trace[0] = %v, want 16", rec.Trace[0])
 	}
 }
+
+// TestNextRawIntoDecodeIntoAllocFree is the allocation gate of the
+// strict read path the replay pipeline runs per frame: once one
+// RawRecord and one Record have grown to the capture's record size,
+// reading and decoding every further record allocates nothing.
+func TestNextRawIntoDecodeIntoAllocFree(t *testing.T) {
+	const runs = 64
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, sampleHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := make(analog.Trace, 3000)
+	for i := range tr {
+		tr[i] = float64(i % 4096)
+	}
+	// AllocsPerRun makes one warm-up call before the measured runs.
+	for i := 0; i <= runs; i++ {
+		err := w.Write(&Record{
+			ECUIndex: int32(i % 3), TimeSec: float64(i), FrameID: 0x18FEF100 | uint32(i),
+			Data: []byte{byte(i), 2, 3, 4, 5, 6, 7, 8}, Trace: tr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw RawRecord
+	var rec Record
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := rd.NextRawInto(&raw); err != nil {
+			t.Fatal(err)
+		}
+		raw.DecodeInto(&rec)
+	})
+	if allocs != 0 {
+		t.Fatalf("NextRawInto + DecodeInto allocate %.1f times per record, want 0", allocs)
+	}
+}

@@ -179,6 +179,11 @@ type Reader struct {
 	repMu   sync.Mutex
 	reports []RecoveredCorruption
 	scratch []byte
+	// field is the fixed-width field buffer u16/u32/f64 read through.
+	// A stack array handed to io.ReadFull escapes to the heap, which
+	// cost five allocations per record; owning the buffer keeps the
+	// strict parse allocation-free.
+	field [8]byte
 }
 
 // NewReader validates the header and returns a record reader.
@@ -404,27 +409,27 @@ func (r *Reader) read(b []byte) error {
 }
 
 func (r *Reader) u16() (uint16, error) {
-	var b [2]byte
-	if err := r.read(b[:]); err != nil {
+	b := r.field[:2]
+	if err := r.read(b); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint16(b[:]), nil
+	return binary.LittleEndian.Uint16(b), nil
 }
 
 func (r *Reader) u32() (uint32, error) {
-	var b [4]byte
-	if err := r.read(b[:]); err != nil {
+	b := r.field[:4]
+	if err := r.read(b); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	return binary.LittleEndian.Uint32(b), nil
 }
 
 func (r *Reader) f64() (float64, error) {
-	var b [8]byte
-	if err := r.read(b[:]); err != nil {
+	b := r.field[:8]
+	if err := r.read(b); err != nil {
 		return 0, err
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 }
 
 func (r *Reader) str() (string, error) {
