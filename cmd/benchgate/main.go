@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_pipeline.json -candidate /tmp/bench.json [-max-drop 10]
+//	benchgate -baseline BENCH_pipeline.json -candidate /tmp/bench.json [-max-drop 10] [-max-overhead layer=pct ...]
 //	benchgate detect -baseline DETECT_arena.json -candidate /tmp/arena.json [-max-tpr-drop 2] [-max-fpr-rise 1]
 //
 // For every configuration present in both reports it computes the
@@ -18,47 +18,73 @@
 // run must not mask a systemic slowdown. The worst single
 // configuration is still printed so a localized regression (say, only
 // the fault-layer path) stays visible in the log even when the median
-// passes.
+// passes. Each -max-overhead layer=pct bounds one entry of the
+// candidate's `layers` map; the two reports must have replayed the
+// same records at the same batch size.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // report mirrors the subset of the replaybench schema the gate needs;
-// unknown fields (overhead percentages, metadata) pass through
-// untouched, so the two tools can evolve independently.
-// FleetOverheadPct is read only from the candidate: it gates the cost
-// of sharing one worker pool across a fleet against an absolute
-// budget rather than against the baseline, so an older baseline
-// without fleet runs still gates cleanly.
+// unknown fields (metadata, per-run overheads) pass through untouched,
+// so the two tools can evolve independently. Layers is read only from
+// the candidate: replaybench measured each layer against its base row
+// inside one run, so host speed cancels out and the overhead gates
+// against an absolute budget rather than against the baseline.
 type report struct {
-	Records             int      `json:"records"`
-	NumCPU              int      `json:"num_cpu"`
-	FleetOverheadPct    *float64 `json:"fleet_overhead_pct"`
-	IncidentOverheadPct *float64 `json:"incident_overhead_pct"`
-	DriftOverheadPct    *float64 `json:"drift_overhead_pct"`
-	SocketOverheadPct   *float64 `json:"socket_overhead_pct"`
-	Runs                []run    `json:"runs"`
+	Records int                `json:"records"`
+	Batch   int                `json:"batch"`
+	NumCPU  int                `json:"num_cpu"`
+	Layers  map[string]float64 `json:"layers"`
+	Runs    []run              `json:"runs"`
 }
 
 type run struct {
 	Name           string  `json:"name"`
 	Workers        int     `json:"workers"`
-	Metrics        bool    `json:"metrics"`
-	Flight         bool    `json:"flight"`
-	Faults         bool    `json:"faults"`
-	Drift          bool    `json:"drift"`
-	DriftBase      bool    `json:"drift_base"`
-	Socket         bool    `json:"socket"`
+	Layer          string  `json:"layer"`
 	Buses          int     `json:"buses"`
 	FramesPerSec   float64 `json:"frames_per_sec"`
 	Speedup        float64 `json:"speedup_vs_sequential"`
 	AllocsPerFrame float64 `json:"allocs_per_frame"`
+}
+
+// limits are the gate's bounds.
+type limits struct {
+	maxDrop     float64 // median throughput drop, percent
+	maxOverhead budgets // per-layer overhead budgets, percent
+	minSpeedup  float64 // best plain parallel speedup (0 disables)
+	maxAllocs   float64 // median allocs-per-frame growth, percent (negative disables)
+}
+
+// budgets is the repeatable -max-overhead layer=pct flag.
+type budgets map[string]float64
+
+func (b budgets) String() string { return fmt.Sprint(map[string]float64(b)) }
+
+func (b budgets) Set(v string) error {
+	layer, pct, ok := strings.Cut(v, "=")
+	if !ok || layer == "" {
+		return fmt.Errorf("want layer=pct, got %q", v)
+	}
+	if _, dup := b[layer]; dup {
+		return fmt.Errorf("layer %q has two budgets", layer)
+	}
+	p, err := strconv.ParseFloat(pct, 64)
+	if err != nil {
+		return fmt.Errorf("layer %q: budget %q is not a number", layer, pct)
+	}
+	b[layer] = p
+	return nil
 }
 
 func main() {
@@ -66,21 +92,19 @@ func main() {
 		detectMain(os.Args[2:])
 		return
 	}
+	lim := limits{maxOverhead: budgets{}}
 	baseline := flag.String("baseline", "BENCH_pipeline.json", "committed baseline report")
 	candidate := flag.String("candidate", "", "freshly generated report to gate")
-	maxDrop := flag.Float64("max-drop", 10, "maximum tolerated median throughput drop in percent")
-	maxFleet := flag.Float64("max-fleet-overhead", 5, "maximum tolerated shared-pool fleet overhead in percent (negative disables)")
-	maxIncident := flag.Float64("max-incident-overhead", 5, "maximum tolerated incident-correlation overhead in percent (negative disables; skipped when the candidate predates the field)")
-	maxDrift := flag.Float64("max-drift-overhead", 5, "maximum tolerated drift-monitor overhead in percent (negative disables; skipped when the candidate predates the field)")
-	maxSocket := flag.Float64("max-socket-overhead", 5, "maximum tolerated socket-ingestion overhead in percent (negative disables; skipped when the candidate predates the field)")
-	minSpeedup := flag.Float64("min-parallel-speedup", 0, "minimum speedup-vs-sequential the best plain parallel run must reach (0 disables; skipped with a notice when the candidate ran on < 2 CPUs)")
-	maxAllocs := flag.Float64("max-allocs-growth", -1, "maximum tolerated median allocs-per-frame growth in percent (negative disables; skipped when the baseline predates the field)")
+	flag.Float64Var(&lim.maxDrop, "max-drop", 10, "maximum tolerated median throughput drop in percent")
+	flag.Var(lim.maxOverhead, "max-overhead", "layer=pct: maximum tolerated overhead of one optional layer (the candidate's layers.<layer>) in percent; repeat once per gated layer")
+	flag.Float64Var(&lim.minSpeedup, "min-parallel-speedup", 0, "minimum speedup-vs-sequential the best plain parallel run must reach (0 disables; skipped with a notice when the candidate ran on < 2 CPUs)")
+	flag.Float64Var(&lim.maxAllocs, "max-allocs-growth", -1, "maximum tolerated median allocs-per-frame growth in percent (negative disables; skipped when the baseline predates the field)")
 	flag.Parse()
 	if *candidate == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -candidate is required")
 		os.Exit(2)
 	}
-	if err := gate(*baseline, *candidate, *maxDrop, *maxFleet, *maxIncident, *maxDrift, *maxSocket, *minSpeedup, *maxAllocs); err != nil {
+	if err := gate(*baseline, *candidate, lim); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
@@ -101,7 +125,7 @@ func load(path string) (report, error) {
 	return r, nil
 }
 
-func gate(basePath, candPath string, maxDrop, maxFleet, maxIncident, maxDrift, maxSocket, minSpeedup, maxAllocs float64) error {
+func gate(basePath, candPath string, lim limits) error {
 	base, err := load(basePath)
 	if err != nil {
 		return err
@@ -109,6 +133,13 @@ func gate(basePath, candPath string, maxDrop, maxFleet, maxIncident, maxDrift, m
 	cand, err := load(candPath)
 	if err != nil {
 		return err
+	}
+	// Throughput and allocations per frame depend on the workload
+	// size: a short capture amortises setup over fewer frames. Reports
+	// of different shapes are not comparable.
+	if base.Records != cand.Records || base.Batch != cand.Batch {
+		return fmt.Errorf("%s ran %d records at batch %d but %s ran %d at batch %d — regenerate the candidate with the baseline's -records and -batch",
+			basePath, base.Records, base.Batch, candPath, cand.Records, cand.Batch)
 	}
 
 	baseBy := make(map[string]float64, len(base.Runs))
@@ -137,7 +168,7 @@ func gate(basePath, candPath string, maxDrop, maxFleet, maxIncident, maxDrift, m
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].drop > deltas[j].drop })
 	for _, d := range deltas {
 		mark := " "
-		if d.drop > maxDrop {
+		if d.drop > lim.maxDrop {
 			mark = "!"
 		}
 		fmt.Printf("%s %-22s %+7.2f%%\n", mark, d.name, -d.drop)
@@ -145,58 +176,36 @@ func gate(basePath, candPath string, maxDrop, maxFleet, maxIncident, maxDrift, m
 	median := deltas[len(deltas)/2].drop
 	worst := deltas[0]
 	fmt.Printf("benchgate: %d configs compared, median drop %.2f%%, worst %.2f%% (%s), limit %.0f%%\n",
-		len(deltas), median, worst.drop, worst.name, maxDrop)
-	if median > maxDrop {
-		return fmt.Errorf("median throughput dropped %.2f%% vs %s (limit %.0f%%)", median, basePath, maxDrop)
+		len(deltas), median, worst.drop, worst.name, lim.maxDrop)
+	if median > lim.maxDrop {
+		return fmt.Errorf("median throughput dropped %.2f%% vs %s (limit %.0f%%)", median, basePath, lim.maxDrop)
 	}
 
-	// The fleet-overhead gate is absolute: replaybench already
-	// measured shared-pool fleet replays against independent replays
-	// with the same total worker count inside one run, so host speed
-	// cancels out and no baseline comparison is needed. Reports
-	// predating fleet mode simply omit the field.
-	if maxFleet >= 0 && cand.FleetOverheadPct != nil {
-		fmt.Printf("benchgate: fleet shared-pool overhead %.2f%%, limit %.0f%%\n", *cand.FleetOverheadPct, maxFleet)
-		if *cand.FleetOverheadPct > maxFleet {
-			return fmt.Errorf("fleet shared-pool overhead %.2f%% exceeds %.0f%%", *cand.FleetOverheadPct, maxFleet)
+	// The overhead gates are absolute: replaybench measured every
+	// layered row against its base row inside one run. A budgeted
+	// layer the candidate did not measure is an error — a renamed or
+	// dropped row must not disarm its gate silently. Every budget is
+	// checked before failing, so the log names every breach.
+	layers := make([]string, 0, len(lim.maxOverhead))
+	for l := range lim.maxOverhead {
+		layers = append(layers, l)
+	}
+	sort.Strings(layers)
+	var breaches []error
+	for _, l := range layers {
+		pct, ok := cand.Layers[l]
+		if !ok {
+			breaches = append(breaches, fmt.Errorf("%s has no %q layer to gate", candPath, l))
+			continue
+		}
+		limit := lim.maxOverhead[l]
+		fmt.Printf("benchgate: %s overhead %.2f%%, limit %.0f%%\n", l, pct, limit)
+		if pct > limit {
+			breaches = append(breaches, fmt.Errorf("%s overhead %.2f%% exceeds %.0f%%", l, pct, limit))
 		}
 	}
-
-	// The incident-overhead gate is absolute for the same reason:
-	// replaybench paired each incident-fed fleet replay with the same
-	// fleet shape running a no-op sink inside one run, so the figure
-	// already isolates the correlator's hot-path cost. Candidates
-	// predating the incident layer omit the field and skip the gate.
-	if maxIncident >= 0 && cand.IncidentOverheadPct != nil {
-		fmt.Printf("benchgate: incident-correlation overhead %.2f%%, limit %.0f%%\n", *cand.IncidentOverheadPct, maxIncident)
-		if *cand.IncidentOverheadPct > maxIncident {
-			return fmt.Errorf("incident-correlation overhead %.2f%% exceeds %.0f%%", *cand.IncidentOverheadPct, maxIncident)
-		}
-	}
-
-	// The drift-overhead gate is absolute too: replaybench paired each
-	// drift-fed replay with the same worker count running a no-op sink
-	// inside one run, so the figure already isolates the per-SA sketch
-	// and detector cost. Candidates predating the drift layer omit the
-	// field and skip the gate.
-	if maxDrift >= 0 && cand.DriftOverheadPct != nil {
-		fmt.Printf("benchgate: drift-monitor overhead %.2f%%, limit %.0f%%\n", *cand.DriftOverheadPct, maxDrift)
-		if *cand.DriftOverheadPct > maxDrift {
-			return fmt.Errorf("drift-monitor overhead %.2f%% exceeds %.0f%%", *cand.DriftOverheadPct, maxDrift)
-		}
-	}
-
-	// The socket-overhead gate is absolute like the others: replaybench
-	// paired each socket-source replay with the same worker count
-	// reading the capture from memory inside one run, so the figure
-	// already isolates ingestion cost (syscalls + the writer
-	// goroutine). Candidates predating daemon mode omit the field and
-	// skip the gate.
-	if maxSocket >= 0 && cand.SocketOverheadPct != nil {
-		fmt.Printf("benchgate: socket-ingestion overhead %.2f%%, limit %.0f%%\n", *cand.SocketOverheadPct, maxSocket)
-		if *cand.SocketOverheadPct > maxSocket {
-			return fmt.Errorf("socket-ingestion overhead %.2f%% exceeds %.0f%%", *cand.SocketOverheadPct, maxSocket)
-		}
+	if len(breaches) > 0 {
+		return errors.Join(breaches...)
 	}
 
 	// The parallel-speedup gate is the guard against the flat-speedup
@@ -208,22 +217,22 @@ func gate(basePath, candPath string, maxDrop, maxFleet, maxIncident, maxDrift, m
 	// every worker count scale". On a single-core runner a parallel
 	// speedup expectation is physically meaningless, so the gate skips
 	// loudly rather than fail a PR for the hardware it landed on.
-	if minSpeedup > 0 {
+	if lim.minSpeedup > 0 {
 		if cand.NumCPU < 2 {
 			fmt.Printf("benchgate: SKIPPING parallel-speedup gate — candidate ran on %d CPU(s); need >= 2 for real parallelism\n", cand.NumCPU)
 		} else {
 			bestSpeedup, bestName := 0.0, ""
 			for _, r := range cand.Runs {
-				if r.Workers > 1 && !r.Metrics && !r.Flight && !r.Faults && !r.Drift && !r.DriftBase && !r.Socket && r.Buses <= 1 && r.Speedup > bestSpeedup {
+				if r.Workers > 1 && r.Layer == "" && r.Buses <= 1 && r.Speedup > bestSpeedup {
 					bestSpeedup, bestName = r.Speedup, r.Name
 				}
 			}
 			if bestName == "" {
 				return fmt.Errorf("no plain parallel run in %s to gate the speedup on", candPath)
 			}
-			fmt.Printf("benchgate: best parallel speedup %.2fx (%s), minimum %.2fx\n", bestSpeedup, bestName, minSpeedup)
-			if bestSpeedup < minSpeedup {
-				return fmt.Errorf("best parallel speedup %.2fx (%s) is below the %.2fx minimum — the pipeline is not scaling", bestSpeedup, bestName, minSpeedup)
+			fmt.Printf("benchgate: best parallel speedup %.2fx (%s), minimum %.2fx\n", bestSpeedup, bestName, lim.minSpeedup)
+			if bestSpeedup < lim.minSpeedup {
+				return fmt.Errorf("best parallel speedup %.2fx (%s) is below the %.2fx minimum — the pipeline is not scaling", bestSpeedup, bestName, lim.minSpeedup)
 			}
 		}
 	}
@@ -233,7 +242,7 @@ func gate(basePath, candPath string, maxDrop, maxFleet, maxIncident, maxDrift, m
 	// noise reasoning. Baselines predating the field decode to zero —
 	// no meaningful comparison exists, so the gate skips loudly until
 	// the baseline is regenerated.
-	if maxAllocs >= 0 {
+	if lim.maxAllocs >= 0 {
 		baseAllocs := make(map[string]float64, len(base.Runs))
 		for _, r := range base.Runs {
 			if r.AllocsPerFrame > 0 {
@@ -253,9 +262,9 @@ func gate(basePath, candPath string, maxDrop, maxFleet, maxIncident, maxDrift, m
 		} else {
 			sort.Float64s(growths)
 			medGrowth := growths[len(growths)/2]
-			fmt.Printf("benchgate: %d configs compared on allocs/frame, median growth %.2f%%, limit %.0f%%\n", len(growths), medGrowth, maxAllocs)
-			if medGrowth > maxAllocs {
-				return fmt.Errorf("median allocs-per-frame grew %.2f%% vs %s (limit %.0f%%) — a per-frame allocation crept into the hot path", medGrowth, basePath, maxAllocs)
+			fmt.Printf("benchgate: %d configs compared on allocs/frame, median growth %.2f%%, limit %.0f%%\n", len(growths), medGrowth, lim.maxAllocs)
+			if medGrowth > lim.maxAllocs {
+				return fmt.Errorf("median allocs-per-frame grew %.2f%% vs %s (limit %.0f%%) — a per-frame allocation crept into the hot path", medGrowth, basePath, lim.maxAllocs)
 			}
 		}
 	}

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -30,7 +34,7 @@ func TestGatePassesWithinLimit(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 1900},
 	  {"name": "parallel8",  "frames_per_sec": 2375}
 	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
+	if err := gate(base, cand, limits{maxDrop: 10, maxAllocs: -1}); err != nil {
 		t.Fatalf("gate tripped on a 5%% drop: %v", err)
 	}
 }
@@ -43,7 +47,7 @@ func TestGateFailsOnSystemicDrop(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 1600},
 	  {"name": "parallel8",  "frames_per_sec": 2000}
 	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err == nil {
+	if err := gate(base, cand, limits{maxDrop: 10, maxAllocs: -1}); err == nil {
 		t.Fatal("gate accepted a 20% systemic drop")
 	}
 }
@@ -57,7 +61,7 @@ func TestGateToleratesOneOutlier(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 1980},
 	  {"name": "parallel8",  "frames_per_sec": 2450}
 	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
+	if err := gate(base, cand, limits{maxDrop: 10, maxAllocs: -1}); err != nil {
 		t.Fatalf("gate tripped on a single outlier: %v", err)
 	}
 }
@@ -70,7 +74,7 @@ func TestGateFasterCandidatePasses(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 2400},
 	  {"name": "parallel8",  "frames_per_sec": 3000}
 	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
+	if err := gate(base, cand, limits{maxDrop: 10, maxAllocs: -1}); err != nil {
 		t.Fatalf("gate tripped on an improvement: %v", err)
 	}
 }
@@ -81,172 +85,148 @@ func TestGateRejectsDisjointReports(t *testing.T) {
 	cand := writeReport(t, dir, "cand.json", `{"records": 100, "runs": [
 	  {"name": "renamed", "frames_per_sec": 1000}
 	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err == nil {
+	if err := gate(base, cand, limits{maxDrop: 10, maxAllocs: -1}); err == nil {
 		t.Fatal("gate accepted reports with no shared configuration")
 	}
 }
 
-func TestGateFleetOverheadWithinBudget(t *testing.T) {
+// gateLayers runs the gate on a candidate whose replaybench table
+// reported layers (a JSON object body, or "" for no layers map) under
+// the given -max-overhead budgets.
+func gateLayers(t *testing.T, layers string, b budgets) error {
+	t.Helper()
 	dir := t.TempDir()
 	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "fleet_overhead_pct": 3.2, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
-		t.Fatalf("gate tripped on 3.2%% fleet overhead under a 5%% budget: %v", err)
+	body := baseReport
+	if layers != "" {
+		body = `{"records": 100, "layers": ` + layers + `, "runs": [
+  {"name": "sequential", "frames_per_sec": 1000},
+  {"name": "parallel4",  "frames_per_sec": 2000},
+  {"name": "parallel8",  "frames_per_sec": 2500}
+]}`
+	}
+	cand := writeReport(t, dir, "cand.json", body)
+	return gate(base, cand, limits{maxDrop: 10, maxOverhead: b, maxAllocs: -1})
+}
+
+// Every -max-overhead layer=pct budget is one check against the
+// candidate's layers map. The three cases below run for each gated
+// layer.
+
+func testLayerWithinBudget(t *testing.T, layer string) {
+	if err := gateLayers(t, `{"`+layer+`": 3.2}`, budgets{layer: 5}); err != nil {
+		t.Fatalf("gate tripped on 3.2%% %s overhead under a 5%% budget: %v", layer, err)
 	}
 }
 
-func TestGateFleetOverheadOverBudget(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "fleet_overhead_pct": 9.7, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err == nil {
-		t.Fatal("gate accepted 9.7% fleet overhead against a 5% budget")
+func testLayerOverBudget(t *testing.T, layer string) {
+	layers := `{"` + layer + `": 9.7}`
+	if err := gateLayers(t, layers, budgets{layer: 5}); err == nil {
+		t.Fatalf("gate accepted 9.7%% %s overhead against a 5%% budget", layer)
 	}
-	// Negative budget disables the fleet gate entirely.
-	if err := gate(base, cand, 10, -1, -1, -1, -1, 0, -1); err != nil {
-		t.Fatalf("disabled fleet gate still tripped: %v", err)
+	// A layer that is not named in -max-overhead is not gated.
+	if err := gateLayers(t, layers, budgets{}); err != nil {
+		t.Fatalf("unnamed %s layer still tripped the gate: %v", layer, err)
 	}
 }
 
-func TestGateFleetOverheadAbsentInCandidate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	// A candidate from before fleet mode (or with fleet configs
-	// filtered out) must not trip the fleet gate.
-	cand := writeReport(t, dir, "cand.json", baseReport)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
-		t.Fatalf("gate tripped on a report without fleet data: %v", err)
+func testLayerAbsentInCandidate(t *testing.T, layer string) {
+	// A candidate without the layer passes while the layer is not
+	// named...
+	if err := gateLayers(t, "", budgets{}); err != nil {
+		t.Fatalf("gate tripped on a report without %s data: %v", layer, err)
+	}
+	// ...but a named layer the candidate lacks is an error rather than
+	// a silently disarmed gate.
+	if err := gateLayers(t, "", budgets{layer: 5}); err == nil {
+		t.Fatalf("gate accepted a candidate missing the budgeted %s layer", layer)
+	}
+	if err := gateLayers(t, `{"other": 1}`, budgets{layer: 5}); err == nil {
+		t.Fatalf("gate accepted a layers map without the budgeted %s layer", layer)
 	}
 }
 
-func TestGateIncidentOverheadWithinBudget(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "incident_overhead_pct": 2.1, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
-		t.Fatalf("gate tripped on 2.1%% incident overhead under a 5%% budget: %v", err)
-	}
-}
+func TestGateFleetOverheadWithinBudget(t *testing.T)      { testLayerWithinBudget(t, "fleet") }
+func TestGateFleetOverheadOverBudget(t *testing.T)        { testLayerOverBudget(t, "fleet") }
+func TestGateFleetOverheadAbsentInCandidate(t *testing.T) { testLayerAbsentInCandidate(t, "fleet") }
 
-func TestGateIncidentOverheadOverBudget(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "incident_overhead_pct": 8.4, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err == nil {
-		t.Fatal("gate accepted 8.4% incident overhead against a 5% budget")
-	}
-	// Negative budget disables the incident gate entirely.
-	if err := gate(base, cand, 10, 5, -1, -1, -1, 0, -1); err != nil {
-		t.Fatalf("disabled incident gate still tripped: %v", err)
-	}
-}
-
+func TestGateIncidentOverheadWithinBudget(t *testing.T) { testLayerWithinBudget(t, "incidents") }
+func TestGateIncidentOverheadOverBudget(t *testing.T)   { testLayerOverBudget(t, "incidents") }
 func TestGateIncidentOverheadAbsentInCandidate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	// A candidate from before the incident layer must not trip the
-	// incident gate.
-	cand := writeReport(t, dir, "cand.json", baseReport)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
-		t.Fatalf("gate tripped on a report without incident data: %v", err)
+	testLayerAbsentInCandidate(t, "incidents")
+}
+
+func TestGateDriftOverheadWithinBudget(t *testing.T)      { testLayerWithinBudget(t, "drift") }
+func TestGateDriftOverheadOverBudget(t *testing.T)        { testLayerOverBudget(t, "drift") }
+func TestGateDriftOverheadAbsentInCandidate(t *testing.T) { testLayerAbsentInCandidate(t, "drift") }
+
+func TestGateSocketOverheadWithinBudget(t *testing.T)      { testLayerWithinBudget(t, "socket") }
+func TestGateSocketOverheadOverBudget(t *testing.T)        { testLayerOverBudget(t, "socket") }
+func TestGateSocketOverheadAbsentInCandidate(t *testing.T) { testLayerAbsentInCandidate(t, "socket") }
+
+// TestGateLayerOverheadReportsEveryBreach: all budgets are checked in
+// one loop before the gate fails, so the error names every breach.
+func TestGateLayerOverheadReportsEveryBreach(t *testing.T) {
+	err := gateLayers(t, `{"fleet": 9.7, "drift": 3.2, "socket": 11.6}`,
+		budgets{"fleet": 5, "drift": 5, "socket": 5})
+	if err == nil {
+		t.Fatal("gate accepted 9.7% fleet and 11.6% socket overhead against 5% budgets")
+	}
+	for _, layer := range []string{"fleet", "socket"} {
+		if !strings.Contains(err.Error(), layer) {
+			t.Fatalf("gate error %q does not name the %s breach", err, layer)
+		}
+	}
+	if strings.Contains(err.Error(), "drift") {
+		t.Fatalf("gate error %q names the in-budget drift layer", err)
 	}
 }
 
-func TestGateDriftOverheadWithinBudget(t *testing.T) {
+// TestMaxOverheadFlag: -max-overhead takes one layer=pct per flag and
+// rejects values it cannot gate on unambiguously.
+func TestMaxOverheadFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		want    budgets
+		wantErr bool
+	}{
+		{args: []string{"-max-overhead", "fleet=5", "-max-overhead", "socket=2.5"}, want: budgets{"fleet": 5, "socket": 2.5}},
+		{args: []string{"-max-overhead", "fleet"}, wantErr: true},
+		{args: []string{"-max-overhead", "=5"}, wantErr: true},
+		{args: []string{"-max-overhead", "fleet=five"}, wantErr: true},
+		{args: []string{"-max-overhead", "fleet=5,socket=5"}, wantErr: true},
+		{args: []string{"-max-overhead", "fleet=5", "-max-overhead", "fleet=7"}, wantErr: true},
+	} {
+		b := budgets{}
+		fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		fs.Var(b, "max-overhead", "")
+		err := fs.Parse(tc.args)
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%v: err = %v, want error %v", tc.args, err, tc.wantErr)
+		}
+		if !tc.wantErr && !reflect.DeepEqual(b, tc.want) {
+			t.Fatalf("%v: parsed %v, want %v", tc.args, b, tc.want)
+		}
+	}
+}
+
+// TestGateRejectsMismatchedWorkload: a candidate that replayed a
+// different capture size or batch size is not comparable with the
+// baseline, however its throughput looks.
+func TestGateRejectsMismatchedWorkload(t *testing.T) {
 	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "drift_overhead_pct": 1.8, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
+	base := writeReport(t, dir, "base.json", `{"records": 10000, "batch": 64, "runs": [
+	  {"name": "sequential", "frames_per_sec": 1000}
 	]}`)
-	if err := gate(base, cand, 10, 5, 5, 5, -1, 0, -1); err != nil {
-		t.Fatalf("gate tripped on 1.8%% drift overhead under a 5%% budget: %v", err)
-	}
-}
-
-func TestGateDriftOverheadOverBudget(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "drift_overhead_pct": 7.3, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, 5, -1, 0, -1); err == nil {
-		t.Fatal("gate accepted 7.3% drift overhead against a 5% budget")
-	}
-	// Negative budget disables the drift gate entirely.
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
-		t.Fatalf("disabled drift gate still tripped: %v", err)
-	}
-}
-
-func TestGateDriftOverheadAbsentInCandidate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	// A candidate from before the drift layer must not trip the drift
-	// gate.
-	cand := writeReport(t, dir, "cand.json", baseReport)
-	if err := gate(base, cand, 10, 5, 5, 5, -1, 0, -1); err != nil {
-		t.Fatalf("gate tripped on a report without drift data: %v", err)
-	}
-}
-
-func TestGateSocketOverheadWithinBudget(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "socket_overhead_pct": 2.4, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, 5, 5, 0, -1); err != nil {
-		t.Fatalf("gate tripped on 2.4%% socket overhead under a 5%% budget: %v", err)
-	}
-}
-
-func TestGateSocketOverheadOverBudget(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "socket_overhead_pct": 11.6, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, 5, 5, 0, -1); err == nil {
-		t.Fatal("gate accepted 11.6% socket overhead against a 5% budget")
-	}
-	// Negative budget disables the socket gate entirely.
-	if err := gate(base, cand, 10, 5, 5, 5, -1, 0, -1); err != nil {
-		t.Fatalf("disabled socket gate still tripped: %v", err)
-	}
-}
-
-func TestGateSocketOverheadAbsentInCandidate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	// A candidate from before daemon mode must not trip the socket
-	// gate.
-	cand := writeReport(t, dir, "cand.json", baseReport)
-	if err := gate(base, cand, 10, 5, 5, 5, 5, 0, -1); err != nil {
-		t.Fatalf("gate tripped on a report without socket data: %v", err)
+	for name, body := range map[string]string{
+		"records": `{"records": 500, "batch": 64, "runs": [{"name": "sequential", "frames_per_sec": 1000}]}`,
+		"batch":   `{"records": 10000, "batch": 1, "runs": [{"name": "sequential", "frames_per_sec": 1000}]}`,
+	} {
+		cand := writeReport(t, dir, name+".json", body)
+		if err := gate(base, cand, limits{maxDrop: 10, maxAllocs: -1}); err == nil {
+			t.Errorf("gate accepted a candidate with a different %s", name)
+		}
 	}
 }
 
@@ -262,9 +242,9 @@ func TestGateSpeedupIgnoresSocketRuns(t *testing.T) {
 	cand := writeReport(t, dir, "cand.json", `{"records": 100, "num_cpu": 4, "runs": [
 	  {"name": "sequential", "frames_per_sec": 1000, "speedup_vs_sequential": 1.0},
 	  {"name": "parallel4",  "workers": 4, "frames_per_sec": 1010, "speedup_vs_sequential": 1.01},
-	  {"name": "parallel4+socket", "workers": 4, "socket": true, "frames_per_sec": 2500, "speedup_vs_sequential": 2.5}
+	  {"name": "parallel4+socket", "workers": 4, "layer": "socket", "frames_per_sec": 2500, "speedup_vs_sequential": 2.5}
 	]}`)
-	if err := gate(base, cand, 100, -1, -1, -1, -1, 2.0, -1); err == nil {
+	if err := gate(base, cand, limits{maxDrop: 100, minSpeedup: 2.0, maxAllocs: -1}); err == nil {
 		t.Fatal("speedup gate credited a socket-source run")
 	}
 }
@@ -275,7 +255,7 @@ func TestGateSpeedupIgnoresSocketRuns(t *testing.T) {
 const speedupReport = `{"records": 100, "num_cpu": 4, "runs": [
   {"name": "sequential", "frames_per_sec": 1000, "speedup_vs_sequential": 1.0},
   {"name": "parallel4",  "workers": 4, "frames_per_sec": 2500, "speedup_vs_sequential": 2.5},
-  {"name": "parallel4+metrics", "workers": 4, "metrics": true, "frames_per_sec": 2600, "speedup_vs_sequential": 2.6},
+  {"name": "parallel4+metrics", "workers": 4, "layer": "metrics", "frames_per_sec": 2600, "speedup_vs_sequential": 2.6},
   {"name": "parallel8",  "workers": 8, "frames_per_sec": 2400, "speedup_vs_sequential": 2.4}
 ]}`
 
@@ -283,7 +263,7 @@ func TestGateParallelSpeedupPasses(t *testing.T) {
 	dir := t.TempDir()
 	base := writeReport(t, dir, "base.json", baseReport)
 	cand := writeReport(t, dir, "cand.json", speedupReport)
-	if err := gate(base, cand, 100, -1, -1, -1, -1, 2.0, -1); err != nil {
+	if err := gate(base, cand, limits{maxDrop: 100, minSpeedup: 2.0, maxAllocs: -1}); err != nil {
 		t.Fatalf("gate tripped on a 2.5x best speedup against a 2.0x minimum: %v", err)
 	}
 }
@@ -297,7 +277,7 @@ func TestGateParallelSpeedupFailsWhenFlat(t *testing.T) {
 	  {"name": "parallel4",  "workers": 4, "frames_per_sec": 1010, "speedup_vs_sequential": 1.01},
 	  {"name": "parallel8",  "workers": 8, "frames_per_sec": 990, "speedup_vs_sequential": 0.99}
 	]}`)
-	if err := gate(base, cand, 100, -1, -1, -1, -1, 2.0, -1); err == nil {
+	if err := gate(base, cand, limits{maxDrop: 100, minSpeedup: 2.0, maxAllocs: -1}); err == nil {
 		t.Fatal("gate accepted a flat parallel speedup on a 4-CPU host")
 	}
 }
@@ -312,7 +292,7 @@ func TestGateParallelSpeedupSkipsOnSingleCPU(t *testing.T) {
 	  {"name": "sequential", "frames_per_sec": 1000, "speedup_vs_sequential": 1.0},
 	  {"name": "parallel4",  "workers": 4, "frames_per_sec": 1010, "speedup_vs_sequential": 1.01}
 	]}`)
-	if err := gate(base, cand, 100, -1, -1, -1, -1, 2.0, -1); err != nil {
+	if err := gate(base, cand, limits{maxDrop: 100, minSpeedup: 2.0, maxAllocs: -1}); err != nil {
 		t.Fatalf("speedup gate did not skip on a single-CPU candidate: %v", err)
 	}
 }
@@ -331,7 +311,7 @@ func TestGateAllocsWithinBudget(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 2000, "allocs_per_frame": 11},
 	  {"name": "parallel8",  "frames_per_sec": 2500, "allocs_per_frame": 10.5}
 	]}`)
-	if err := gate(base, cand, 10, -1, -1, -1, -1, 0, 25); err != nil {
+	if err := gate(base, cand, limits{maxDrop: 10, maxAllocs: 25}); err != nil {
 		t.Fatalf("gate tripped on ~10%% median allocs growth under a 25%% budget: %v", err)
 	}
 }
@@ -346,11 +326,11 @@ func TestGateAllocsOverBudget(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 2000, "allocs_per_frame": 20},
 	  {"name": "parallel8",  "frames_per_sec": 2500, "allocs_per_frame": 20}
 	]}`)
-	if err := gate(base, cand, 10, -1, -1, -1, -1, 0, 25); err == nil {
+	if err := gate(base, cand, limits{maxDrop: 10, maxAllocs: 25}); err == nil {
 		t.Fatal("gate accepted a 100% allocs-per-frame growth against a 25% budget")
 	}
 	// Negative budget disables the allocation gate entirely.
-	if err := gate(base, cand, 10, -1, -1, -1, -1, 0, -1); err != nil {
+	if err := gate(base, cand, limits{maxDrop: 10, maxAllocs: -1}); err != nil {
 		t.Fatalf("disabled allocs gate still tripped: %v", err)
 	}
 }
@@ -366,7 +346,7 @@ func TestGateAllocsSkipsOldBaseline(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 2000, "allocs_per_frame": 10},
 	  {"name": "parallel8",  "frames_per_sec": 2500, "allocs_per_frame": 10}
 	]}`)
-	if err := gate(base, cand, 10, -1, -1, -1, -1, 0, 25); err != nil {
+	if err := gate(base, cand, limits{maxDrop: 10, maxAllocs: 25}); err != nil {
 		t.Fatalf("allocs gate did not skip on a baseline without the field: %v", err)
 	}
 }

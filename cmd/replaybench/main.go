@@ -1,29 +1,30 @@
 // Command replaybench seeds the repository's performance trajectory:
-// it generates the standard 10k-record Vehicle B capture, replays it
-// sequentially and through the concurrent pipeline at 1/2/4/8
-// workers — each with observability off and on, plus tracing+flight,
-// fault-layer (recovery reader + quarantine), drift-monitor and
-// socket-source (capture streamed through a loopback unix socket, the
-// daemon's live-ingestion shape) configurations at 1/4/8 workers,
-// plus fleet pairs with and without the incident correlation layer —
-// and writes the results (plus the measured metrics, flight-recorder,
-// fault-layer, pool-sharing, incident-layer, drift-layer and
-// socket-ingestion overheads) to a JSON file that CI and future PRs
-// can diff (cmd/benchgate enforces the diff).
+// an ablation table over the standard 10k-record Vehicle B capture
+// (experiments.ReplayFixture), written to a JSON file that CI and
+// future PRs diff (cmd/benchgate enforces the diff).
 //
 // Usage:
 //
-//	replaybench -out BENCH_pipeline.json [-records 10000] [-repeat 3]
+//	replaybench -out BENCH_pipeline.json [-records 10000] [-repeat 15]
 //
-// Each configuration runs repeat times and reports its best run:
-// host interference only ever slows a run, so with enough repeats
-// every configuration's minimum converges to its true cost and the
-// overhead ratios measure instrumentation rather than noise.
+// Every row but the sequential speedup reference replays through
+// engine.Session or engine.Fleet, the path deployments run. A layered
+// row is its base row plus one optional layer — the engine options a
+// deployment sets for it, a unix-socket record source, or a shared
+// fleet host — so the report has one overhead rule: a row's time
+// against its base row's. The per-layer medians land in one `layers`
+// map; a new layer is one more row.
+//
+// Each row runs repeat times and reports its best run: host
+// interference only ever slows a run, so with enough repeats every
+// row's minimum converges to its true cost and the overhead ratios
+// measure the layer rather than noise.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,58 +37,33 @@ import (
 	"time"
 
 	"vprofile/internal/core"
+	"vprofile/internal/engine"
 	"vprofile/internal/experiments"
 	"vprofile/internal/ids"
-	"vprofile/internal/obs"
-	"vprofile/internal/obs/drift"
-	"vprofile/internal/obs/incident"
-	"vprofile/internal/obs/tracing"
 	"vprofile/internal/pipeline"
 	"vprofile/internal/trace"
-	"vprofile/internal/vehicle"
 )
 
-// Run is one benchmark configuration's result.
+// Run is one table row's result.
 type Run struct {
 	Name    string `json:"name"`
-	Workers int    `json:"workers"` // 0 = sequential reference path
-	// GOMAXPROCS is the value the run actually executed under — not
-	// the flag that was requested. A parallel run recorded at 1 here
-	// measured timeslicing, not parallelism, which is why main errors
-	// out rather than publish such a report.
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Metrics      bool    `json:"metrics"`
-	Flight       bool    `json:"flight,omitempty"`
-	Faults       bool    `json:"faults,omitempty"`
-	Drift        bool    `json:"drift,omitempty"`
-	DriftBase    bool    `json:"drift_base,omitempty"` // no-op sink paired against the drift config
-	Socket       bool    `json:"socket,omitempty"`     // capture read from a unix socket instead of memory
-	Buses        int     `json:"buses,omitempty"`      // >1 on fleet/indep pair configs
-	SharedPool   bool    `json:"shared_pool,omitempty"`
-	Incidents    bool    `json:"incidents,omitempty"`
+	Base    string `json:"base,omitempty"`  // row the overhead is measured against
+	Layer   string `json:"layer,omitempty"` // optional layer the row adds to its base
+	Workers int    `json:"workers"`         // per bus; 0 = sequential reference path
+	Buses   int    `json:"buses"`
+	// Frames is the number of records the row's buses replayed in one
+	// run; it equals records × buses or the benchmark fails.
+	Frames       int64   `json:"frames"`
 	Seconds      float64 `json:"seconds"`
 	FramesPerSec float64 `json:"frames_per_sec"`
 	// AllocsPerFrame is the heap-allocation count per replayed frame
 	// (runtime Mallocs delta over the run, minimum across repeats —
-	// concurrent GC noise only ever inflates it). The pipeline configs
-	// run with buffer pooling on, so regressions here mean a new
-	// per-frame allocation crept into the hot path.
-	AllocsPerFrame float64 `json:"allocs_per_frame"`
-	// SpeedupVsSequential compares against the uninstrumented
-	// sequential run; OverheadPct compares metrics-on (or
-	// tracing+flight-on, or fault-layer-on) against the same worker
-	// count with everything off, each side taken as its
-	// best-of-repeat time. FleetOverheadPct compares a shared-pool
-	// fleet replay against the same buses running independent private
-	// pools of the same total width.
-	SpeedupVsSequential float64  `json:"speedup_vs_sequential"`
-	OverheadPct         *float64 `json:"metrics_overhead_pct,omitempty"`
-	FlightOverheadPct   *float64 `json:"flight_overhead_pct,omitempty"`
-	FaultsOverheadPct   *float64 `json:"faults_overhead_pct,omitempty"`
-	FleetOverheadPct    *float64 `json:"fleet_overhead_pct,omitempty"`
-	IncidentOverheadPct *float64 `json:"incident_overhead_pct,omitempty"`
-	DriftOverheadPct    *float64 `json:"drift_overhead_pct,omitempty"`
-	SocketOverheadPct   *float64 `json:"socket_overhead_pct,omitempty"`
+	// concurrent GC noise only ever inflates it).
+	AllocsPerFrame      float64 `json:"allocs_per_frame"`
+	SpeedupVsSequential float64 `json:"speedup_vs_sequential"`
+	// OverheadPct is the row's best-of-repeat time against its base
+	// row's, in percent (layered rows only).
+	OverheadPct *float64 `json:"overhead_pct,omitempty"`
 }
 
 // Report is the BENCH_pipeline.json schema.
@@ -108,56 +84,70 @@ type Report struct {
 	NumCPU      int    `json:"num_cpu"`
 	GeneratedAt string `json:"generated_at"`
 	Runs        []Run  `json:"runs"`
-	// MetricsOverheadPct is the headline number: the median overhead
-	// across the instrumented configurations (per-config overheads
-	// are in Runs). Median rather than worst keeps one noisy run on a
-	// loaded host from misstating the cost. The acceptance bar keeps
-	// it under 5%.
-	MetricsOverheadPct float64 `json:"metrics_overhead_pct"`
-	// FlightOverheadPct is the same median over the tracing+flight
-	// configurations: per-frame spans plus the flight recorder's ring
-	// buffer, compared against the same worker count uninstrumented.
-	// Since the plain runs adopted buffer pooling this figure also
-	// prices the pooling flight forgoes (the recorder retains record
-	// internals, so pooled buffers are off on that path) — it is the
-	// true cost of turning the forensic layer on, and it is large.
-	FlightOverheadPct float64 `json:"flight_overhead_pct"`
-	// FaultsOverheadPct is the same median over the fault-layer
-	// configurations: recovery-enabled capture reader plus the per-SA
-	// quarantine state machine, on a clean capture (zero fault
-	// intensity), compared against the same worker count with the
-	// layer off. The absolute cost is small; against the pooled
-	// baseline it reads as ~10% because the baseline itself got faster.
-	FaultsOverheadPct float64 `json:"faults_overhead_pct"`
-	// FleetOverheadPct is the median over the fleet pair
-	// configurations: two concurrent replays on one shared pool versus
-	// the same two replays on independent private pools of the same
-	// total width. It prices the sharing mechanism (dispatcher +
-	// submit contention), not worker-count differences. The acceptance
-	// bar keeps it under 5%.
-	FleetOverheadPct float64 `json:"fleet_overhead_pct"`
-	// IncidentOverheadPct is the median over the incident-layer
-	// configurations: a fleet replay whose per-record sink feeds the
-	// incident correlator (evidence construction + hot-path Observe, no
-	// alarms on the clean fixture) against the same fleet shape with a
-	// no-op sink. Both sides pay the sink call itself, so the figure
-	// prices the correlator alone. The acceptance bar keeps it under 5%.
-	IncidentOverheadPct float64 `json:"incident_overhead_pct"`
-	// DriftOverheadPct is the same median over the drift-layer
-	// configurations: a replay whose per-record sink feeds the per-SA
-	// drift monitor (sketch inserts + detector updates on every scored
-	// frame) against the same worker count with a no-op sink. Both
-	// sides pay the sink call, so the figure prices the drift layer
-	// alone. The acceptance bar keeps it under 5%.
-	DriftOverheadPct float64 `json:"drift_overhead_pct"`
-	// SocketOverheadPct is the same median over the socket-source
-	// configurations: the capture streamed through a loopback unix
-	// socket (the daemon's live-ingestion shape, writer goroutine
-	// feeding the connection) against the same worker count reading
-	// from memory. It prices socket ingestion — syscalls plus the
-	// cross-goroutine copy — not the analysis path, which is identical
-	// on both sides. The acceptance bar keeps it under 5%.
-	SocketOverheadPct float64 `json:"socket_overhead_pct"`
+	// Layers maps each optional layer to the median overhead of its
+	// rows. Median rather than worst keeps one noisy row on a loaded
+	// host from misstating the cost.
+	Layers map[string]float64 `json:"layers"`
+}
+
+// row is one configuration of the ablation table.
+type row struct {
+	name    string
+	base    string // row the overhead is measured against ("" = none)
+	layer   string // optional layer the row adds to base
+	workers int    // worker pool per bus; 0 = pipeline.Sequential
+	buses   int    // buses replayed concurrently
+	source  source // where each bus's records come from (nil = memory)
+	host    host   // how the buses run (nil = one lone session each)
+	opts    []engine.Option
+}
+
+// source opens one bus's record stream over the capture bytes.
+type source func(capture []byte) (*engine.StreamSource, error)
+
+// host replays one stream per bus at workers per bus with opts.
+type host func(srcs []*engine.StreamSource, workers int, opts []engine.Option) ([]engine.Summary, error)
+
+// plus derives the row that adds layer to r: the same shape with opts
+// appended.
+func (r row) plus(layer string, opts ...engine.Option) row {
+	l := r
+	l.name, l.base, l.layer = r.name+"+"+layer, r.name, layer
+	l.opts = append(r.opts[:len(r.opts):len(r.opts)], opts...)
+	return l
+}
+
+// table is the ablation table. Each layered row sits directly after
+// its base row, so the pair executes back-to-back under (nearly) the
+// same host conditions.
+func table(flightDir string) []row {
+	rows := []row{{name: "sequential", buses: 1}}
+	for _, w := range []int{1, 2, 4, 8} {
+		p := row{name: fmt.Sprintf("parallel%d", w), workers: w, buses: 1}
+		rows = append(rows, p, p.plus("metrics", engine.WithMetricsAddr("127.0.0.1:0")))
+		if w == 2 {
+			continue
+		}
+		socket := p.plus("socket")
+		socket.source = socketSource
+		rows = append(rows,
+			p.plus("flight", engine.WithFlightRecorder(flightDir, 8)),
+			// The degraded-mode layer at zero fault intensity: the reader
+			// scans for corruption it never finds, the quarantine machine
+			// scores frames that are never suspicious.
+			p.plus("faults", engine.WithRecovery(true), engine.WithQuarantine(true)),
+			p.plus("drift", engine.WithDrift(true)),
+			socket)
+	}
+	// Fleet rows: two lone sessions with private pools against one
+	// fleet sharing a pool of the same total width, so the pair prices
+	// the sharing mechanism, not worker counts.
+	for _, w := range []int{1, 4} {
+		indep := row{name: fmt.Sprintf("indep2x%d", w), workers: w, buses: 2}
+		fleet := row{name: fmt.Sprintf("fleet2x%d", w), base: indep.name, layer: "fleet", workers: w, buses: 2, host: sharedFleet}
+		rows = append(rows, indep, fleet, fleet.plus("incidents", engine.WithIncidents(true)))
+	}
+	return rows
 }
 
 func main() {
@@ -173,256 +163,27 @@ func main() {
 	}
 }
 
-// fixture builds the capture and trained model the replay benchmarks
-// share (mirrors replay_bench_test.go).
-func fixture(records int) ([]byte, *core.Model, *vehicle.Vehicle, error) {
-	v := vehicle.NewVehicleB()
-	train, err := experiments.CollectSamples(v, 1500, 7, nil, v.ExtractionConfig())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	model, err := core.Train(experiments.CoreSamples(train), core.TrainConfig{
-		Metric: core.Mahalanobis, SAMap: v.SAMap(),
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	val, err := experiments.CollectSamples(v, 800, 8, nil, v.ExtractionConfig())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	margin, _ := experiments.OptimizeMargin(experiments.FalsePositiveRecords(model, val), experiments.MaxAccuracy)
-	model.Margin = margin * 1.5
-
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, trace.Header{Vehicle: v.Name, BitRate: v.BitRate, ADC: v.ADC})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	err = v.Stream(vehicle.GenConfig{NumMessages: records, Seed: 99, DiagnosticTraffic: true}, func(m vehicle.Message) error {
-		return w.Write(&trace.Record{
-			ECUIndex: int32(m.ECUIndex),
-			TimeSec:  m.TimeSec,
-			FrameID:  m.Frame.ID,
-			Data:     m.Frame.Data,
-			Trace:    m.Trace,
-		})
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return nil, nil, nil, err
-	}
-	return buf.Bytes(), model, v, nil
-}
-
-// mallocsNow reads the runtime's cumulative heap-allocation counter.
-// The delta across a replay, divided by the record count, is the
-// allocs-per-frame figure the report publishes.
-func mallocsNow() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
-
-// replayOnce runs one replay and returns its elapsed wall time and
-// heap allocations per frame. Pipeline runs enable buffer pooling —
-// the production hot-path shape — except when flight recording, which
-// retains record internals and therefore measures the allocating path.
-func replayOnce(capture []byte, model *core.Model, v *vehicle.Vehicle, workers, records, batch int, withMetrics, withFlight, withFaults, driftBase, withDrift, withSocket bool) (time.Duration, float64, error) {
-	// The socket configs replay the identical capture through a
-	// loopback unix socket — the daemon's live-ingestion shape: a
-	// writer goroutine feeds the connection while the pipeline reads
-	// it. Everything downstream of the reader is byte-for-byte the
-	// same as the in-memory config it is paired with, so the ratio
-	// prices socket ingestion alone.
-	var src io.Reader = bytes.NewReader(capture)
-	if withSocket {
-		dir, err := os.MkdirTemp("", "replaybench")
-		if err != nil {
-			return 0, 0, err
-		}
-		defer os.RemoveAll(dir)
-		ln, err := net.Listen("unix", filepath.Join(dir, "ingest.sock"))
-		if err != nil {
-			return 0, 0, err
-		}
-		defer ln.Close()
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			_, _ = io.Copy(conn, bytes.NewReader(capture))
-			conn.Close()
-		}()
-		conn, err := net.Dial("unix", ln.Addr().String())
-		if err != nil {
-			return 0, 0, err
-		}
-		defer conn.Close()
-		src = conn
-	}
-	rd, err := trace.NewReader(src)
-	if err != nil {
-		return 0, 0, err
-	}
-	// The drift pair runs with a per-record sink on both sides — a
-	// no-op for the base config, the drift monitor's Observe for the
-	// drift config — so their ratio prices the drift layer itself, not
-	// sink dispatch.
-	var sink func(pipeline.Result) error
-	if driftBase {
-		sink = func(pipeline.Result) error { return nil }
-	}
-	if withDrift {
-		mon := drift.NewMonitor(drift.Config{})
-		sink = func(r pipeline.Result) error {
-			vd := r.Verdict
-			if vd.ExtractErr != nil || vd.Voltage.Expected < 0 || vd.Voltage.Predict < 0 {
-				return nil
-			}
-			exp := int(vd.Voltage.Expected)
-			if exp >= len(model.Clusters) {
-				return nil
-			}
-			mon.Observe(uint8(r.Frame.SA()), vd.Voltage.MinDist,
-				model.Clusters[exp].MaxDist+model.Margin, r.Record.TimeSec)
-			return nil
-		}
-	}
-	var im *ids.Metrics
-	cfg := pipeline.Config{Workers: workers, Batch: batch}
-	if withMetrics {
-		reg := obs.NewRegistry()
-		cfg.Metrics = pipeline.NewMetrics(reg)
-		im = ids.NewMetrics(reg)
-		rd.SetMetrics(trace.NewMetrics(reg))
-	}
-	if withFlight {
-		// In-memory recorder (no Dir): the benchmark measures the
-		// steady-state tracing + ring-buffer cost, not bundle IO —
-		// the fixture traffic is clean so no bundles would be cut
-		// anyway.
-		rec, err := tracing.NewRecorder(tracing.RecorderConfig{})
-		if err != nil {
-			return 0, 0, err
-		}
-		defer rec.Close()
-		cfg.Recorder = rec
-	}
-	mcfg := ids.CompositeConfig{Extraction: v.ExtractionConfig(), Metrics: im}
-	if withFaults {
-		// The degraded-mode layer at zero fault intensity: the reader
-		// scans for corruption it never finds, the quarantine machine
-		// scores frames that are never suspicious. This is the cost a
-		// hardened deployment pays on a healthy bus.
-		rd.EnableRecovery()
-		mcfg.Quarantine = &ids.QuarantineConfig{}
-	}
-	mon, err := ids.NewComposite(model, mcfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	m0 := mallocsNow()
-	var st pipeline.Stats
-	if workers == 0 {
-		st, err = pipeline.Sequential(rd, mon, sink)
-	} else {
-		st, err = pipeline.Replay(rd, mon, cfg, sink)
-	}
-	allocs := float64(mallocsNow()-m0) / float64(records)
-	if err != nil {
-		return 0, 0, err
-	}
-	if st.RecordsOut != int64(records) {
-		return 0, 0, fmt.Errorf("replayed %d of %d records", st.RecordsOut, records)
-	}
-	return st.WallTime, allocs, nil
-}
-
-// evidence maps a pipeline result onto the incident correlator's
-// per-frame observation (mirrors the engine's sink wrapper).
-func evidence(r pipeline.Result) incident.Evidence {
-	v := r.Verdict
-	return incident.Evidence{
-		SA:         uint8(r.Frame.SA()),
-		T:          r.Record.TimeSec,
-		Voltage:    v.ExtractErr == nil && v.Voltage.Anomaly,
-		Preprocess: v.ExtractErr != nil,
-		Timing:     v.Timing == ids.PeriodTooEarly,
-		Transport:  v.TransferErr != nil,
-		Suppressed: v.Suppressed,
-	}
-}
-
-// fleetOnce replays the capture `buses` times concurrently and
-// returns the overall elapsed time. With shared=true every replay
-// submits to one pool of buses×workersPerBus goroutines (the fleet
-// shape); otherwise each replay owns a private pool of workersPerBus
-// goroutines — the same total worker count, so the pair isolates the
-// cost of the sharing mechanism itself. With incidents=true each
-// bus's sink feeds a shared incident correlator; every config pays a
-// per-record sink call either way (no-op without incidents), so the
-// incident pair prices the correlator, not sink dispatch.
-func fleetOnce(capture []byte, model *core.Model, v *vehicle.Vehicle, buses, workersPerBus, records, batch int, shared, incidents bool) (time.Duration, float64, error) {
-	var pool *pipeline.Pool
-	if shared {
-		pool = pipeline.NewPool(buses * workersPerBus)
-		defer pool.Close()
-	}
-	var corr *incident.Correlator
-	if incidents {
-		corr = incident.New(incident.Config{CorrelateBuses: 2})
-	}
-	errs := make([]error, buses)
-	m0 := mallocsNow()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for b := 0; b < buses; b++ {
-		rd, err := trace.NewReader(bytes.NewReader(capture))
-		if err != nil {
-			return 0, 0, err
-		}
-		mon, err := ids.NewComposite(model, ids.CompositeConfig{Extraction: v.ExtractionConfig()})
-		if err != nil {
-			return 0, 0, err
-		}
-		sink := func(pipeline.Result) error { return nil }
-		if corr != nil {
-			stream := corr.Bus(fmt.Sprintf("bus%d", b))
-			sink = func(r pipeline.Result) error {
-				stream.Observe(evidence(r))
-				return nil
-			}
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := pipeline.Config{Workers: workersPerBus, Batch: batch, Pool: pool}
-			var st pipeline.Stats
-			st, errs[b] = pipeline.Replay(rd, mon, cfg, sink)
-			if errs[b] == nil && st.RecordsOut != int64(records) {
-				errs[b] = fmt.Errorf("replayed %d of %d records", st.RecordsOut, records)
-			}
-		}()
-	}
-	wg.Wait()
-	if corr != nil {
-		corr.CloseOut()
-	}
-	elapsed := time.Since(start)
-	allocs := float64(mallocsNow()-m0) / float64(records*buses)
-	for _, err := range errs {
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	return elapsed, allocs, nil
-}
-
 func run(out string, records, repeat, batch, procs int) error {
+	report, err := measure(records, repeat, batch, procs)
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(report); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "replaybench: median layer overheads %v → %s\n", report.Layers, out)
+	return nil
+}
+
+// measure runs the table and builds the report.
+func measure(records, repeat, batch, procs int) (Report, error) {
 	if procs <= 0 {
 		procs = runtime.NumCPU()
 	}
@@ -432,109 +193,58 @@ func run(out string, records, repeat, batch, procs int) error {
 	// On a single-core host, pass -gomaxprocs >= 2 explicitly to
 	// measure the timesliced pipeline instead.
 	if procs < 2 {
-		return fmt.Errorf("parallel configurations would run at GOMAXPROCS=%d and cannot measure parallelism; set -gomaxprocs >= 2 (this host has %d CPU(s))", procs, runtime.NumCPU())
+		return Report{}, fmt.Errorf("parallel configurations would run at GOMAXPROCS=%d and cannot measure parallelism; set -gomaxprocs >= 2 (this host has %d CPU(s))", procs, runtime.NumCPU())
 	}
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 
 	fmt.Fprintf(os.Stderr, "replaybench: generating %d-record fixture (GOMAXPROCS=%d, NumCPU=%d)...\n", records, procs, runtime.NumCPU())
-	capture, model, v, err := fixture(records)
+	capture, model, _, err := experiments.ReplayFixture(records)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
+	// Factor the model once up front: every session's model store
+	// calls Precompute, and concurrent lone sessions share this model.
+	model.Precompute()
+	tmp, err := os.MkdirTemp("", "replaybench")
+	if err != nil {
+		return Report{}, err
+	}
+	defer os.RemoveAll(tmp)
+	rows := table(filepath.Join(tmp, "flight"))
+	common := []engine.Option{engine.WithModel(model), engine.WithBatch(batch)}
 
-	type config struct {
-		name      string
-		workers   int
-		metrics   bool
-		flight    bool
-		faults    bool
-		driftBase bool // no-op per-record sink (the drift config's baseline)
-		drift     bool // sink feeds the per-SA drift monitor
-		socket    bool // capture streamed through a loopback unix socket
-		buses     int  // >1 runs the fleet pair shape
-		shared    bool // fleet: one shared pool instead of private pools
-		incidents bool // fleet: sink feeds the incident correlator
-	}
-	// Each instrumented configuration sits directly after the plain
-	// run it is compared against, so the pair executes back-to-back
-	// under (nearly) the same host conditions — overhead percentages
-	// then measure instrumentation, not load drift between distant
-	// runs. Flight configs (tracing + recorder, no metrics) and fault
-	// configs (recovery reader + quarantine, no metrics) run at 1/4/8
-	// workers.
-	var configs []config
-	configs = append(configs,
-		config{name: "sequential"},
-		config{name: "sequential+metrics", metrics: true})
-	for _, w := range []int{1, 2, 4, 8} {
-		configs = append(configs, config{name: fmt.Sprintf("parallel%d", w), workers: w})
-		configs = append(configs, config{name: fmt.Sprintf("parallel%d+metrics", w), workers: w, metrics: true})
-		if w != 2 {
-			configs = append(configs, config{name: fmt.Sprintf("parallel%d+flight", w), workers: w, flight: true})
-			configs = append(configs, config{name: fmt.Sprintf("parallel%d+faults", w), workers: w, faults: true})
-			// Drift pair: the +driftbase config runs a no-op sink so the
-			// +drift config directly after it isolates the monitor's cost.
-			configs = append(configs, config{name: fmt.Sprintf("parallel%d+driftbase", w), workers: w, driftBase: true})
-			configs = append(configs, config{name: fmt.Sprintf("parallel%d+drift", w), workers: w, drift: true})
-			// Socket config: same pipeline, capture arriving over a
-			// loopback unix socket instead of memory (compared against
-			// the plain run of the same worker count).
-			configs = append(configs, config{name: fmt.Sprintf("parallel%d+socket", w), workers: w, socket: true})
-		}
-	}
-	// Fleet pairs: each shared-pool config sits directly after the
-	// independent-pools config it is compared against, same total
-	// worker count on both sides; the incident config follows the
-	// fleet config it is compared against.
-	for _, w := range []int{1, 4} {
-		configs = append(configs, config{name: fmt.Sprintf("indep2x%d", w), workers: w, buses: 2})
-		configs = append(configs, config{name: fmt.Sprintf("fleet2x%d", w), workers: w, buses: 2, shared: true})
-		configs = append(configs, config{name: fmt.Sprintf("fleet2x%d+incidents", w), workers: w, buses: 2, shared: true, incidents: true})
-	}
-
-	// Interleave the runs round-robin across every configuration
-	// rather than finishing one before starting the next: host noise
-	// (a shared or thermally-throttled box) then lands on all configs
-	// alike, so the best-of comparison — especially metrics-on versus
-	// metrics-off of the same worker count — stays fair. Each pass
-	// also starts at a different offset, so no configuration is pinned
-	// to the start or end of the process, where turbo decay or heap
+	// Interleave the runs round-robin across every row rather than
+	// finishing one before starting the next: host noise (a shared or
+	// thermally-throttled box) then lands on all rows alike, so the
+	// best-of comparison between a row and its base stays fair. Each
+	// pass also starts at a different offset, so no row is pinned to
+	// the start or end of the process, where turbo decay or heap
 	// growth would bias it the same way every pass.
-	best := make(map[string]time.Duration, len(configs))
-	bestAllocs := make(map[string]float64, len(configs))
+	best := make(map[string]time.Duration, len(rows))
+	bestAllocs := make(map[string]uint64, len(rows))
+	frames := make(map[string]int64, len(rows))
 	for i := 0; i < repeat; i++ {
-		off := i * len(configs) / repeat
-		for j := range configs {
-			c := configs[(j+off)%len(configs)]
-			var d time.Duration
-			var allocs float64
-			var err error
-			if c.buses > 1 {
-				d, allocs, err = fleetOnce(capture, model, v, c.buses, c.workers, records, batch, c.shared, c.incidents)
-			} else {
-				d, allocs, err = replayOnce(capture, model, v, c.workers, records, batch, c.metrics, c.flight, c.faults, c.driftBase, c.drift, c.socket)
-			}
+		off := i * len(rows) / repeat
+		for j := range rows {
+			r := rows[(j+off)%len(rows)]
+			d, allocs, n, err := replay(r, capture, model, common)
 			if err != nil {
-				return fmt.Errorf("%s: %w", c.name, err)
+				return Report{}, fmt.Errorf("%s: %w", r.name, err)
 			}
-			if cur, ok := best[c.name]; !ok || d < cur {
-				best[c.name] = d
+			if want := int64(records * r.buses); n != want {
+				return Report{}, fmt.Errorf("%s: replayed %d of %d records", r.name, n, want)
+			}
+			frames[r.name] = n
+			if cur, ok := best[r.name]; !ok || d < cur {
+				best[r.name] = d
 			}
 			// Minimum across repeats, like the times: concurrent GC and
 			// background goroutines only ever add allocations.
-			if cur, ok := bestAllocs[c.name]; !ok || allocs < cur {
-				bestAllocs[c.name] = allocs
+			if cur, ok := bestAllocs[r.name]; !ok || allocs < cur {
+				bestAllocs[r.name] = allocs
 			}
 		}
-	}
-	for _, c := range configs {
-		n := records
-		if c.buses > 1 {
-			n = records * c.buses
-		}
-		fmt.Fprintf(os.Stderr, "replaybench: %-20s %8.3fs  %9.0f frames/s  %6.1f allocs/frame\n",
-			c.name, best[c.name].Seconds(), float64(n)/best[c.name].Seconds(), bestAllocs[c.name])
 	}
 
 	report := Report{
@@ -547,109 +257,197 @@ func run(out string, records, repeat, batch, procs int) error {
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		Layers:      map[string]float64{},
 	}
-	// An instrumented config's overhead is the ratio of best-of-repeat
-	// times. Host interference is one-sided — a neighbouring process
-	// only ever slows a run — so with enough repeats each minimum
-	// converges to the config's true cost and the ratio measures
-	// instrumentation, not noise. (Per-pass paired ratios were tried
-	// and are worse: a single 0.2s run swings several percent, and a
-	// median of few noisy ratios inherits that swing.)
-	bestOverhead := func(name, baseName string) float64 {
-		base := best[baseName].Seconds()
-		return 100 * (best[name].Seconds() - base) / base
-	}
-
-	seqBase := best["sequential"].Seconds()
-	var overheads, flightOverheads, faultOverheads, fleetOverheads, incidentOverheads, driftOverheads, socketOverheads []float64
-	for _, c := range configs {
-		sec := best[c.name].Seconds()
-		totalRecords := records
-		if c.buses > 1 {
-			totalRecords = records * c.buses
-		}
-		fps := float64(totalRecords) / sec
-		r := Run{
-			Name:                c.name,
-			Workers:             c.workers,
-			GOMAXPROCS:          runtime.GOMAXPROCS(0),
-			AllocsPerFrame:      bestAllocs[c.name],
-			Metrics:             c.metrics,
-			Flight:              c.flight,
-			Faults:              c.faults,
-			Drift:               c.drift,
-			DriftBase:           c.driftBase,
-			Socket:              c.socket,
-			Buses:               c.buses,
-			SharedPool:          c.shared,
-			Incidents:           c.incidents,
+	// A layered row's overhead is the ratio of best-of-repeat times.
+	// Host interference is one-sided — a neighbouring process only ever
+	// slows a run — so with enough repeats each minimum converges to
+	// the row's true cost and the ratio measures the layer, not noise.
+	seqFPS := float64(records) / best["sequential"].Seconds()
+	perLayer := map[string][]float64{}
+	for _, r := range rows {
+		sec := best[r.name].Seconds()
+		n := frames[r.name]
+		run := Run{
+			Name:                r.name,
+			Base:                r.base,
+			Layer:               r.layer,
+			Workers:             r.workers,
+			Buses:               r.buses,
+			Frames:              n,
 			Seconds:             sec,
-			FramesPerSec:        fps,
-			SpeedupVsSequential: fps / (float64(records) / seqBase),
+			FramesPerSec:        float64(n) / sec,
+			AllocsPerFrame:      float64(bestAllocs[r.name]) / float64(n),
+			SpeedupVsSequential: float64(n) / sec / seqFPS,
 		}
-		if c.metrics {
-			pct := bestOverhead(c.name, c.name[:len(c.name)-len("+metrics")])
-			r.OverheadPct = &pct
-			overheads = append(overheads, pct)
+		if r.base != "" {
+			base := best[r.base].Seconds()
+			pct := 100 * (sec - base) / base
+			run.OverheadPct = &pct
+			perLayer[r.layer] = append(perLayer[r.layer], pct)
 		}
-		if c.flight {
-			pct := bestOverhead(c.name, c.name[:len(c.name)-len("+flight")])
-			r.FlightOverheadPct = &pct
-			flightOverheads = append(flightOverheads, pct)
-		}
-		if c.faults {
-			pct := bestOverhead(c.name, c.name[:len(c.name)-len("+faults")])
-			r.FaultsOverheadPct = &pct
-			faultOverheads = append(faultOverheads, pct)
-		}
-		if c.shared && !c.incidents {
-			pct := bestOverhead(c.name, "indep"+c.name[len("fleet"):])
-			r.FleetOverheadPct = &pct
-			fleetOverheads = append(fleetOverheads, pct)
-		}
-		if c.incidents {
-			pct := bestOverhead(c.name, c.name[:len(c.name)-len("+incidents")])
-			r.IncidentOverheadPct = &pct
-			incidentOverheads = append(incidentOverheads, pct)
-		}
-		if c.drift {
-			pct := bestOverhead(c.name, c.name[:len(c.name)-len("+drift")]+"+driftbase")
-			r.DriftOverheadPct = &pct
-			driftOverheads = append(driftOverheads, pct)
-		}
-		if c.socket {
-			pct := bestOverhead(c.name, c.name[:len(c.name)-len("+socket")])
-			r.SocketOverheadPct = &pct
-			socketOverheads = append(socketOverheads, pct)
-		}
-		report.Runs = append(report.Runs, r)
+		fmt.Fprintf(os.Stderr, "replaybench: %-20s %8.3fs  %9.0f frames/s  %6.2f allocs/frame\n",
+			r.name, sec, run.FramesPerSec, run.AllocsPerFrame)
+		report.Runs = append(report.Runs, run)
 	}
-	sort.Float64s(overheads)
-	report.MetricsOverheadPct = overheads[len(overheads)/2]
-	sort.Float64s(flightOverheads)
-	report.FlightOverheadPct = flightOverheads[len(flightOverheads)/2]
-	sort.Float64s(faultOverheads)
-	report.FaultsOverheadPct = faultOverheads[len(faultOverheads)/2]
-	sort.Float64s(fleetOverheads)
-	report.FleetOverheadPct = fleetOverheads[len(fleetOverheads)/2]
-	sort.Float64s(incidentOverheads)
-	report.IncidentOverheadPct = incidentOverheads[len(incidentOverheads)/2]
-	sort.Float64s(driftOverheads)
-	report.DriftOverheadPct = driftOverheads[len(driftOverheads)/2]
-	sort.Float64s(socketOverheads)
-	report.SocketOverheadPct = socketOverheads[len(socketOverheads)/2]
+	for layer, pcts := range perLayer {
+		sort.Float64s(pcts)
+		report.Layers[layer] = pcts[len(pcts)/2]
+	}
+	return report, nil
+}
 
-	f, err := os.Create(out)
+// mallocsNow reads the runtime's cumulative heap-allocation counter.
+// The delta across a replay, divided by the frames replayed, is the
+// allocs-per-frame figure the report publishes.
+func mallocsNow() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// replay runs row r once and returns its wall time, its heap
+// allocations and the frames its buses replayed. Opening the record
+// sources is outside the measurement; hosting and replaying are in it.
+func replay(r row, capture []byte, model *core.Model, common []engine.Option) (time.Duration, uint64, int64, error) {
+	if r.workers == 0 {
+		return sequential(capture, model)
+	}
+	open, hostBuses := r.source, r.host
+	if open == nil {
+		open = memorySource
+	}
+	if hostBuses == nil {
+		hostBuses = loneSessions
+	}
+	srcs := make([]*engine.StreamSource, r.buses)
+	for i := range srcs {
+		src, err := open(capture)
+		if err != nil {
+			closeAll(srcs[:i])
+			return 0, 0, 0, err
+		}
+		srcs[i] = src
+	}
+	opts := append(common[:len(common):len(common)], r.opts...)
+	m0 := mallocsNow()
+	start := time.Now()
+	sums, err := hostBuses(srcs, r.workers, opts)
+	elapsed := time.Since(start)
+	allocs := mallocsNow() - m0
+	var n int64
+	for _, s := range sums {
+		n += s.Stats.RecordsOut
+	}
+	return elapsed, allocs, n, err
+}
+
+// sequential is the speedup reference: the capture scored in a plain
+// read loop with no pipeline and no engine.
+func sequential(capture []byte, model *core.Model) (time.Duration, uint64, int64, error) {
+	m0 := mallocsNow()
+	start := time.Now()
+	rd, err := trace.NewReader(bytes.NewReader(capture))
 	if err != nil {
-		return err
+		return 0, 0, 0, err
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		return err
+	mon, err := ids.NewComposite(model, ids.CompositeConfig{Extraction: engine.ExtractionFor(rd.Header())})
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	fmt.Fprintf(os.Stderr, "replaybench: median metrics overhead %.2f%%, flight overhead %.2f%%, fault-layer overhead %.2f%%, fleet overhead %.2f%%, incident overhead %.2f%%, drift overhead %.2f%%, socket overhead %.2f%% → %s\n",
-		report.MetricsOverheadPct, report.FlightOverheadPct, report.FaultsOverheadPct, report.FleetOverheadPct, report.IncidentOverheadPct, report.DriftOverheadPct, report.SocketOverheadPct, out)
-	return nil
+	st, err := pipeline.Sequential(rd, mon, nil)
+	return time.Since(start), mallocsNow() - m0, st.RecordsOut, err
+}
+
+// memorySource streams the capture from memory.
+func memorySource(capture []byte) (*engine.StreamSource, error) {
+	return engine.NewStreamSource("memory", io.NopCloser(bytes.NewReader(capture)))
+}
+
+// socketSource streams the capture through a loopback unix socket —
+// the daemon's live-ingestion shape: a writer goroutine feeds the
+// connection while the session reads it. Everything downstream of the
+// source is the same as the in-memory row it is compared against.
+func socketSource(capture []byte) (*engine.StreamSource, error) {
+	dir, err := os.MkdirTemp("", "replaybench")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	ln, err := net.Listen("unix", filepath.Join(dir, "ingest.sock"))
+	if err != nil {
+		return nil, err
+	}
+	defer ln.Close()
+	conn, err := net.Dial("unix", ln.Addr().String())
+	if err != nil {
+		return nil, err
+	}
+	peer, err := ln.Accept()
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	// The writer ends once the capture is written or the session
+	// closes its end of the connection.
+	go func() {
+		_, _ = io.Copy(peer, bytes.NewReader(capture))
+		peer.Close()
+	}()
+	return engine.NewStreamSource("socket", conn)
+}
+
+func closeAll(srcs []*engine.StreamSource) {
+	for _, s := range srcs {
+		_ = s.Close()
+	}
+}
+
+func busName(i int) string { return fmt.Sprintf("bus%d", i) }
+
+// loneSessions runs each stream as its own engine.Session — its own
+// one-member fleet with a private pool — concurrently.
+func loneSessions(srcs []*engine.StreamSource, workers int, opts []engine.Option) ([]engine.Summary, error) {
+	sessions := make([]*engine.Session, len(srcs))
+	for i, src := range srcs {
+		sessions[i] = engine.NewSession("", append([]engine.Option{
+			engine.WithName(busName(i)), engine.WithWorkers(workers), engine.WithSource(src),
+		}, opts...)...)
+	}
+	return runAll(sessions)
+}
+
+// sharedFleet attaches every stream to one engine.Fleet whose shared
+// pool has the same total width as the lone sessions' private pools.
+func sharedFleet(srcs []*engine.StreamSource, workers int, opts []engine.Option) ([]engine.Summary, error) {
+	f, err := engine.NewFleet(nil, append(opts, engine.WithWorkers(workers*len(srcs)))...)
+	if err != nil {
+		closeAll(srcs)
+		return nil, err
+	}
+	sessions := make([]*engine.Session, len(srcs))
+	for i, src := range srcs {
+		if sessions[i], err = f.Attach(busName(i), src); err != nil {
+			closeAll(srcs[i:])
+			return nil, errors.Join(err, f.Close())
+		}
+	}
+	sums, err := runAll(sessions)
+	return sums, errors.Join(err, f.Close())
+}
+
+// runAll runs the sessions concurrently and waits for all of them.
+func runAll(sessions []*engine.Session) ([]engine.Summary, error) {
+	sums := make([]engine.Summary, len(sessions))
+	errs := make([]error, len(sessions))
+	var wg sync.WaitGroup
+	for i, s := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sums[i], errs[i] = s.Run(nil)
+		}()
+	}
+	wg.Wait()
+	return sums, errors.Join(errs...)
 }

@@ -5,14 +5,12 @@ import (
 	"sync"
 	"testing"
 
-	"vprofile/internal/core"
 	"vprofile/internal/experiments"
 	"vprofile/internal/ids"
 	"vprofile/internal/obs"
 	"vprofile/internal/obs/tracing"
 	"vprofile/internal/pipeline"
 	"vprofile/internal/trace"
-	"vprofile/internal/vehicle"
 )
 
 // The replay benchmarks compare sequential replay (Composite.Process
@@ -35,45 +33,11 @@ var (
 // all replay benchmarks.
 func replayFixture(b *testing.B) {
 	replayOnce.Do(func() {
-		v := vehicle.NewVehicleB()
-		train, err := experiments.CollectSamples(v, 1500, 7, nil, v.ExtractionConfig())
+		capture, model, v, err := experiments.ReplayFixture(replayRecords)
 		if err != nil {
 			b.Fatal(err)
 		}
-		model, err := core.Train(experiments.CoreSamples(train), core.TrainConfig{
-			Metric: core.Mahalanobis, SAMap: v.SAMap(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		val, err := experiments.CollectSamples(v, 800, 8, nil, v.ExtractionConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		margin, _ := experiments.OptimizeMargin(experiments.FalsePositiveRecords(model, val), experiments.MaxAccuracy)
-		model.Margin = margin * 1.5
-
-		var buf bytes.Buffer
-		w, err := trace.NewWriter(&buf, trace.Header{Vehicle: v.Name, BitRate: v.BitRate, ADC: v.ADC})
-		if err != nil {
-			b.Fatal(err)
-		}
-		err = v.Stream(vehicle.GenConfig{NumMessages: replayRecords, Seed: 99, DiagnosticTraffic: true}, func(m vehicle.Message) error {
-			return w.Write(&trace.Record{
-				ECUIndex: int32(m.ECUIndex),
-				TimeSec:  m.TimeSec,
-				FrameID:  m.Frame.ID,
-				Data:     m.Frame.Data,
-				Trace:    m.Trace,
-			})
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		replayCapture = buf.Bytes()
+		replayCapture = capture
 
 		replayMonitor = func(b *testing.B) *ids.Composite {
 			mon, err := ids.NewComposite(model, ids.CompositeConfig{Extraction: v.ExtractionConfig()})
