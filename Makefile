@@ -41,6 +41,8 @@ fuzz:
 	$(GO) test -fuzz '^FuzzReaderResync$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz '^FuzzNextRawInto$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz '^FuzzEdgeExtract$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/edgeset
+	$(GO) test -fuzz '^FuzzDatagramAccept$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
+	$(GO) test -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/control
 
 # bench-replay compares sequential replay against the concurrent
 # pipeline at 1/2/4/8 workers (plus instrumented variants) on a

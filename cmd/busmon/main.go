@@ -64,23 +64,20 @@ func run(fl *engine.Flags, timeline bool) error {
 }
 
 func runSingle(capture string, fl *engine.Flags, timeline bool, opts []engine.Option) error {
-	s := engine.NewSession(capture, opts...)
-	t := engine.NewTally()
-	sum, err := s.Run(func(res engine.Result) error {
-		for _, e := range t.Observe(res.Result) {
-			if timeline {
+	var sink engine.Sink
+	if timeline {
+		sink = func(res engine.Result) error {
+			for _, e := range res.Events {
 				fmt.Println(timelineLine(e))
 			}
-			if err := s.EmitEvent(e); err != nil {
-				return err
-			}
+			return nil
 		}
-		return nil
-	})
+	}
+	sum, err := engine.NewSession(capture, opts...).Run(sink)
 	if err != nil {
 		return err
 	}
-	printSummary(sum, t, fl)
+	printSummary(sum, fl)
 	if fl.Incidents {
 		fmt.Println()
 		fmt.Print(incident.FormatTable(sum.Incidents))
@@ -93,22 +90,16 @@ func runFleet(captures []string, fl *engine.Flags, timeline bool, opts []engine.
 	if err != nil {
 		return err
 	}
-	tallies := map[string]*engine.Tally{}
-	for _, bus := range fleet.Buses() {
-		tallies[bus] = engine.NewTally()
-	}
-	sums, err := fleet.Run(func(res engine.Result) error {
-		for _, e := range tallies[res.Bus].Observe(res.Result) {
-			e.Bus = res.Bus
-			if timeline {
+	var sink engine.Sink
+	if timeline {
+		sink = func(res engine.Result) error {
+			for _, e := range res.Events {
 				fmt.Printf("[%s] %s\n", res.Bus, timelineLine(e))
 			}
-			if err := fleet.EmitEvent(e); err != nil {
-				return err
-			}
+			return nil
 		}
-		return nil
-	})
+	}
+	sums, err := fleet.Run(sink)
 	for i, sum := range sums {
 		if i > 0 {
 			fmt.Println()
@@ -119,7 +110,7 @@ func runFleet(captures []string, fl *engine.Flags, timeline bool, opts []engine.
 			// Fall through: the partial tally and stats still describe
 			// everything delivered before the abort.
 		}
-		printSummary(sum, tallies[sum.Bus], fl)
+		printSummary(sum, fl)
 	}
 	if fl.Incidents {
 		fmt.Println()
@@ -130,8 +121,8 @@ func runFleet(captures []string, fl *engine.Flags, timeline bool, opts []engine.
 }
 
 // printSummary renders one session's end-of-replay report.
-func printSummary(sum engine.Summary, t *engine.Tally, fl *engine.Flags) {
-	h := sum.Header
+func printSummary(sum engine.Summary, fl *engine.Flags) {
+	h, t := sum.Header, sum.Tally
 	fmt.Printf("capture: %s (%s, %.0f kb/s, %d-bit @ %.1f MS/s)\n",
 		sum.Capture, h.Vehicle, h.BitRate/1e3, h.ADC.Bits, h.ADC.SampleRate/1e6)
 	fmt.Printf("frames: %d over %.2fs (replayed in %.2fs, %d workers, %.0f%% busy)\n",

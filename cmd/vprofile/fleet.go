@@ -11,11 +11,6 @@ import (
 	"vprofile/internal/obs/incident"
 )
 
-// busCount is one bus's running classification tally.
-type busCount struct {
-	frames, flagged, extractFails int
-}
-
 // cmdFleet classifies several captures concurrently over one shared
 // worker pool — the multi-bus deployment shape, with per-bus metrics
 // labels, a shared event log and one hot-swappable model.
@@ -38,40 +33,26 @@ func cmdFleet(args []string) error {
 	if err != nil {
 		return err
 	}
-	counts := map[string]*busCount{}
-	for _, bus := range fleet.Buses() {
-		counts[bus] = &busCount{}
-	}
-	sums, err := fleet.Run(func(res engine.Result) error {
-		c := counts[res.Bus]
-		r := res.Result
-		if r.Verdict.ExtractErr != nil {
-			c.frames++
-			c.extractFails++
-			return nil
-		}
-		c.frames++
-		if r.Verdict.Voltage.Anomaly {
-			c.flagged++
-			if *verbose {
-				d := r.Verdict.Voltage
+	var sink engine.Sink
+	if *verbose {
+		sink = func(res engine.Result) error {
+			r := res.Result
+			if d := r.Verdict.Voltage; r.Verdict.ExtractErr == nil && d.Anomaly {
 				fmt.Printf("[%s] message %6d: SA %#02x flagged (%s, dist %.2f)\n",
 					res.Bus, r.Index, uint8(r.Frame.SA()), d.Reason, d.MinDist)
 			}
-			e := engine.VoltageEvent(r)
-			e.Bus = res.Bus
-			return fleet.EmitEvent(e)
+			return nil
 		}
-		return nil
-	})
+	}
+	sums, err := fleet.Run(sink)
 	for _, sum := range sums {
-		c := counts[sum.Bus]
+		t := sum.Tally
 		status := "ok"
 		if sum.Err != nil {
 			status = sum.Err.Error()
 		}
 		fmt.Printf("bus %-12s %7d messages, %5d flagged, %4d preprocess failures, %.2fs — %s\n",
-			sum.Bus, c.frames, c.flagged, c.extractFails, sum.Stats.WallTime.Seconds(), status)
+			sum.Bus, t.Frames(), t.VoltAlarms, t.PreprocFailed, sum.Stats.WallTime.Seconds(), status)
 		if sum.ModelSwaps > 0 {
 			fmt.Printf("bus %-12s model: %d hot swaps, final version %d\n", sum.Bus, sum.ModelSwaps, sum.ModelVersion)
 		}

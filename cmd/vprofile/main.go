@@ -32,7 +32,6 @@ import (
 	"vprofile/internal/core"
 	"vprofile/internal/edgeset"
 	"vprofile/internal/engine"
-	"vprofile/internal/stats"
 	"vprofile/internal/trace"
 )
 
@@ -184,43 +183,43 @@ func cmdDetect(args []string) error {
 	// Replay through the concurrent pipeline: the voltage verdicts are
 	// identical to classifying each preprocessed sample in order, but
 	// the capture streams instead of loading into memory and the hot
-	// path fans out across the worker pool.
-	var cm stats.ConfusionMatrix
-	var extractFails int
+	// path fans out across the worker pool. The session tallies every
+	// verdict and writes its events; the sink only breaks the voltage
+	// alarms down by reason.
 	reasons := map[core.Reason]int{}
 	sum, err := s.Run(func(res engine.Result) error {
 		r := res.Result
 		if board != nil {
 			board.Observe(r.Index, r.Verdict)
 		}
-		if r.Verdict.ExtractErr != nil {
-			// A trace too mangled to preprocess is suspicious evidence,
-			// not a replay failure — count it and keep classifying.
-			extractFails++
-			return nil
-		}
-		d := r.Verdict.Voltage
-		cm.Add(false, d.Anomaly)
-		if d.Anomaly {
+		if d := r.Verdict.Voltage; r.Verdict.ExtractErr == nil && d.Anomaly {
 			reasons[d.Reason]++
 			if *verbose {
 				fmt.Printf("message %6d: SA %#02x flagged (%s, dist %.2f, predicted cluster %d)\n",
 					r.Index, uint8(r.Frame.SA()), d.Reason, d.MinDist, d.Predict)
 			}
-			return s.EmitEvent(engine.VoltageEvent(r))
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	// A trace too mangled to preprocess is suspicious evidence, not a
+	// replay failure: it is counted apart from the classified messages.
+	// A capture with nothing classifiable flags 0%.
+	t := sum.Tally
+	classified := t.Frames() - t.PreprocFailed
+	pct := 0.0
+	if classified > 0 {
+		pct = 100 * float64(t.VoltAlarms) / float64(classified)
+	}
 	fmt.Printf("classified %d messages: %d flagged (%.4f%%) in %.2fs with %d workers\n",
-		cm.Total(), cm.FP+cm.TP, 100*float64(cm.FP+cm.TP)/float64(cm.Total()), sum.Stats.WallTime.Seconds(), sum.Stats.Workers)
+		classified, t.VoltAlarms, pct, sum.Stats.WallTime.Seconds(), sum.Stats.Workers)
 	for r, n := range reasons {
 		fmt.Printf("  %-18s %d\n", r.String()+":", n)
 	}
-	if extractFails > 0 {
-		fmt.Printf("preprocess failures: %d\n", extractFails)
+	if t.PreprocFailed > 0 {
+		fmt.Printf("preprocess failures: %d\n", t.PreprocFailed)
 	}
 	if len(sum.Corruptions) > 0 {
 		fmt.Printf("capture corruption: %d stretches recovered\n", len(sum.Corruptions))

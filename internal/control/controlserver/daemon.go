@@ -1,6 +1,6 @@
 // Package controlserver hosts the vprofiled runtime: the fleet policy
 // lifecycle (load, hot reload, diff application), each attached bus's
-// ingest listener and tally, the alarm hub behind the event
+// ingest listener, the alarm hub behind the event
 // subscription, and the HTTP control API on top (server.go). Every
 // feed runs as a member of one engine.Fleet, which owns the models,
 // the shared worker pool and the event outlet the hub and the
@@ -423,8 +423,9 @@ func (d *Daemon) Drain(timeout time.Duration) int {
 }
 
 // busRun is one attached bus: its ingest listener, its fleet model
-// store, and the fleet member currently streaming (at most one feed at
-// a time; later feeds queue on the listener's accept backlog).
+// store, and its latest fleet member — streaming while feed is set,
+// else the last finished one (at most one feed at a time; later feeds
+// queue on the listener's accept backlog).
 type busRun struct {
 	d        *Daemon
 	bus      string
@@ -445,8 +446,6 @@ type busRun struct {
 	lastErr  string
 	sess     *engine.Session
 	feed     io.Closer
-	tally    *engine.Tally
-	lastSum  *engine.Summary
 }
 
 // startBus loads the bus's model into the fleet, binds the listener
@@ -542,8 +541,6 @@ func (b *busRun) serveStream(name string, rc io.ReadCloser, gaps func() trace.Ga
 	if gaps != nil {
 		src.SetGapStats(gaps)
 	}
-	tally := engine.NewTally()
-
 	b.mu.Lock()
 	if b.stopping {
 		b.mu.Unlock()
@@ -563,18 +560,15 @@ func (b *busRun) serveStream(name string, rc io.ReadCloser, gaps func() trace.Ga
 	b.sessions++
 	b.sess = sess
 	b.feed = rc
-	b.tally = tally
 	b.state = controlapi.BusStreaming
 	b.mu.Unlock()
 	b.d.logf("bus %s: feed %s streaming", b.bus, name)
 
-	sum, err := sess.Run(b.sink(tally))
+	sum, err := sess.Run(nil)
 
 	b.mu.Lock()
-	b.sess = nil
 	b.feed = nil
 	b.done++
-	b.lastSum = &sum
 	if !b.stopping {
 		b.state = controlapi.BusWaiting
 	}
@@ -645,25 +639,6 @@ func (b *busRun) flightDir() string {
 	return b.d.flightDir(spec)
 }
 
-// sink folds every verdict into the bus tally and publishes the
-// derived events — the same event derivation batch replay uses, so
-// the daemon's alarm stream and a CLI replay of the same capture are
-// one and the same.
-func (b *busRun) sink(t *engine.Tally) engine.Sink {
-	return func(res engine.Result) error {
-		b.mu.Lock()
-		events := t.Observe(res.Result)
-		b.mu.Unlock()
-		for i := range events {
-			if events[i].Bus == "" {
-				events[i].Bus = b.bus
-			}
-			_ = b.d.fleet.EmitEvent(events[i])
-		}
-		return nil
-	}
-}
-
 // drain is stop + wait: the detach path.
 func (b *busRun) drain(timeout time.Duration) {
 	b.stop()
@@ -716,8 +691,8 @@ func (b *busRun) waitDone(timeout time.Duration) {
 }
 
 // status builds the bus's control-plane view: registry counters plus
-// either the live session's mid-stream snapshot or the last completed
-// session's summary.
+// the tally of the latest member — the live session mid-stream, else
+// the last completed one.
 func (b *busRun) status() controlapi.BusStatus {
 	b.mu.Lock()
 	st := controlapi.BusStatus{
@@ -725,33 +700,30 @@ func (b *busRun) status() controlapi.BusStatus {
 		Ingest: b.scheme + "://" + b.ingest, Model: b.spec.Model,
 		ModelVersion: b.store.Version(),
 		Sessions:     b.sessions, SessionsDone: b.done, SessionsAborted: b.aborted,
-		LastError: b.lastErr, Live: b.sess != nil,
+		LastError: b.lastErr, Live: b.feed != nil,
 	}
 	sess := b.sess
-	var snap *controlapi.TallySnapshot
-	if b.tally != nil {
-		t := b.tally
-		snap = &controlapi.TallySnapshot{
-			Frames: t.Frames(), VoltAlarms: t.VoltAlarms, PreprocFailed: t.PreprocFailed,
-			PeriodAlarms: t.PeriodAlarms, TPErrors: t.TPErrors, Suppressed: t.Suppressed,
-			LastAt: t.LastAt, SAs: t.Rows(),
-		}
-	}
-	lastSum := b.lastSum
 	b.mu.Unlock()
-
-	if snap != nil {
-		var sum engine.Summary
-		switch {
-		case sess != nil:
-			sum = sess.Snapshot()
-		case lastSum != nil:
-			sum = *lastSum
-		}
-		snap.Gaps = sum.Gaps
-		snap.Corruptions = len(sum.Corruptions)
-		snap.DegradedSAs = sum.DegradedSAs
-		st.Tally = snap
+	if sess != nil {
+		st.Tally = tallySnapshot(sess)
 	}
 	return st
+}
+
+// tallySnapshot exports a member's verdict accounting: its tally's
+// counters and per-SA rows, plus the stream-level counts of its
+// summary.
+func tallySnapshot(sess *engine.Session) *controlapi.TallySnapshot {
+	c, rows := sess.ReadTally()
+	frames := 0
+	for _, r := range rows {
+		frames += r.Frames
+	}
+	sum := sess.Snapshot()
+	return &controlapi.TallySnapshot{
+		Frames: frames, VoltAlarms: c.VoltAlarms, PreprocFailed: c.PreprocFailed,
+		PeriodAlarms: c.PeriodAlarms, TPErrors: c.TPErrors, Suppressed: c.Suppressed,
+		LastAt: c.LastAt, SAs: rows,
+		Gaps: sum.Gaps, Corruptions: len(sum.Corruptions), DegradedSAs: sum.DegradedSAs,
+	}
 }

@@ -243,6 +243,45 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
+// maxBusStatusAllocs bounds the heap allocations of one BusStatus call
+// on a bus whose feed finished: the ingest address, the tally snapshot
+// and the two slices of its per-SA rows. A poller calls it every few
+// hundred microseconds, so each extra allocation shows up in the
+// daemon's per-frame allocation rate.
+const maxBusStatusAllocs = 4
+
+// TestBusStatusAllocs gates that BusStatus reads the finished feed's
+// tally in place instead of cloning it.
+func TestBusStatusAllocs(t *testing.T) {
+	dir, _, capturePath, _ := fixtureDir(t)
+	d, err := controlserver.New(controlserver.Config{BaseDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Drain(5 * time.Second)
+	st, err := d.Attach(controlapi.BusSpec{
+		Bus: "b1", Listen: "tcp://127.0.0.1:0", Model: "model.vpm", Quarantine: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := controlclient.StreamCapture(st.Ingest, capturePath, controlclient.StreamConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if st = waitBusDone(t, d, "b1", 1); st.Tally == nil || st.Tally.Frames == 0 || len(st.Tally.SAs) == 0 {
+		t.Fatalf("finished feed reported no tally: %+v", st)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := d.BusStatus("b1"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > maxBusStatusAllocs {
+		t.Fatalf("BusStatus allocates %.1f times per call, want <= %d", got, maxBusStatusAllocs)
+	}
+	t.Logf("%.1f allocs per BusStatus call", got)
+}
+
 // TestUDPLossTolerated injects datagram drops and asserts the gap
 // accounting shows up, the recovery path resyncs, and the pipeline
 // still completes instead of wedging.

@@ -21,10 +21,11 @@ func FeedStatsReader(d *Daemon, bus string) func() (pipeline.Stats, bool) {
 			return pipeline.Stats{}, false
 		}
 		b.mu.Lock()
-		defer b.mu.Unlock()
-		if b.lastSum == nil {
+		sess, live := b.sess, b.feed != nil
+		b.mu.Unlock()
+		if sess == nil || live {
 			return pipeline.Stats{}, false
 		}
-		return b.lastSum.Stats, true
+		return sess.Snapshot().Stats, true
 	}
 }

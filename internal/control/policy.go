@@ -211,9 +211,9 @@ func bindBusSettings(e *errs, n *node, path string, spec *controlapi.BusSpec, se
 		seen[k] = true
 		switch k {
 		case "listen":
-			spec.Listen = bindString(e, c, kp)
+			spec.Listen = bindNonEmptyString(e, c, kp)
 		case "model":
-			spec.Model = bindString(e, c, kp)
+			spec.Model = bindNonEmptyString(e, c, kp)
 		case "workers":
 			// Removed: every bus runs on the daemon fleet's one worker
 			// pool, sized by GOMAXPROCS.
@@ -357,6 +357,16 @@ func bindString(e *errs, n *node, path string) string {
 		return ""
 	}
 	return n.scalar
+}
+
+// bindNonEmptyString is bindString for keys that cannot be blank: an
+// explicit empty value is an error, not an unset key.
+func bindNonEmptyString(e *errs, n *node, path string) string {
+	v := bindString(e, n, path)
+	if n != nil && n.isScalar && v == "" {
+		e.add(n.line, path, "must not be empty")
+	}
+	return v
 }
 
 func bindInt(e *errs, n *node, path string) int {

@@ -34,7 +34,7 @@ func newDriftMonitor(s *Session) *drift.Monitor {
 		cfg.Bus = s.name
 	}
 	if cfg.Emit == nil {
-		cfg.Emit = func(e obs.Event) { _ = s.EmitEvent(e) }
+		cfg.Emit = func(e obs.Event) { _ = s.emit(e) }
 	}
 	if stream := s.incStream; cfg.OnTransition == nil && stream != nil {
 		// A drifting SA escalates its open incident; fleet-wide drift

@@ -250,7 +250,7 @@ func (f *Fleet) Attach(bus string, src *StreamSource, opts ...Option) (*Session,
 		o(&cfg)
 	}
 	cfg.name, cfg.capture, cfg.source = bus, "", src
-	s := &Session{settings: cfg}
+	s := newSession(cfg)
 	if err := f.adopt(s); err != nil {
 		return nil, err
 	}
@@ -340,13 +340,9 @@ func (f *Fleet) Subscribe(fn func(obs.Event)) {
 	f.subMu.Unlock()
 }
 
-// EmitEvent sends one event through the fleet's outlet — the sink's
-// channel, like Session.EmitEvent; the caller sets Event.Bus. It
-// returns the event log's write error (nil without a log).
-func (f *Fleet) EmitEvent(e obs.Event) error { return f.emit(e) }
-
 // emit is the single event outlet: the JSONL log, then every
-// subscriber.
+// subscriber. It returns the event log's write error (nil without a
+// log).
 func (f *Fleet) emit(e obs.Event) error {
 	var err error
 	if f.events != nil {
@@ -394,7 +390,7 @@ func (f *Fleet) Run(sink Sink) ([]Summary, error) {
 	var wg sync.WaitGroup
 	for i, capture := range f.captures {
 		bus := f.buses[i]
-		summaries[i] = Summary{Bus: bus, Capture: capture}
+		summaries[i] = Summary{Bus: bus, Capture: capture, Tally: NewTally()}
 		var opts []Option
 		if f.proto.flightDir != "" {
 			// Each bus's bundles go under their own subdirectory.

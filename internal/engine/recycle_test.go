@@ -101,8 +101,8 @@ func recordSum(r pipeline.Result) uint64 {
 // sum, and under -race the overlapping write is reported — and the
 // sums must match a pipeline.Sequential reference, record for record.
 //
-// The sink then runs the in-tree consumers — Tally.Observe, which the
-// daemon's bus sink and the busmon/vprofile sinks wrap, and
+// The sink then runs the in-tree consumers — Tally.Observe, which
+// every session runs on its results before the sink, and
 // VoltageEvent — with the drift and incident wrappers on, and finally
 // scribbles over the record: what recycling does to it next. A
 // consumer that kept a pointer into the record would report scribbled

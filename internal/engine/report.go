@@ -34,13 +34,20 @@ type saTally struct {
 
 // Tally accumulates one session's summary counters, the per-SA
 // table, and the structured event stream that feeds both the human
-// timeline and the JSONL event log. It lives in the engine rather
-// than the CLIs so every replay tool derives the identical event
-// stream from a verdict — severities, trace ids and quarantine
-// transitions included.
+// timeline and the JSONL event log. Every Session runs one over its
+// results and emits the events it returns, so every replay tool gets
+// the identical event stream from a verdict — severities, trace ids
+// and quarantine transitions included.
 type Tally struct {
 	perSA map[uint8]*saTally
+	TallyCounts
+	Quarantined bool
+	Drifting    bool
+}
 
+// TallyCounts are a tally's summary counters: what Session.ReadTally
+// copies out of a live tally.
+type TallyCounts struct {
 	VoltAlarms    int
 	PreprocFailed int
 	PeriodAlarms  int
@@ -49,8 +56,6 @@ type Tally struct {
 	TimingFaults  int
 	DM1Reports    int
 	Suppressed    int
-	Quarantined   bool
-	Drifting      bool
 	LastAt        float64
 }
 
@@ -165,9 +170,8 @@ func (t *Tally) Observe(res pipeline.Result) []obs.Event {
 	return events
 }
 
-// VoltageEvent renders one voltage verdict as its structured event —
-// the shared shape behind busmon's timeline and vprofile's detect and
-// fleet logs.
+// VoltageEvent renders one voltage verdict as its structured event,
+// the shape the tally emits for every unsuppressed voltage alarm.
 func VoltageEvent(res pipeline.Result) obs.Event {
 	d := res.Verdict.Voltage
 	traceID := ""
@@ -242,6 +246,19 @@ func (t *Tally) Rows() []TallyRow {
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// degradedSAs counts the SAs whose latest verdict left them Degraded —
+// the quarantine's own count, since an SA's state changes only on its
+// own frames.
+func (t *Tally) degradedSAs() int {
+	n := 0
+	for _, c := range t.perSA {
+		if c.state == ids.SADegraded {
+			n++
+		}
+	}
+	return n
 }
 
 // Frames is the total frame count across all SAs.

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vprofile/internal/core"
@@ -65,11 +64,15 @@ func ExtractionFor(h trace.Header) edgeset.Config {
 // (empty on single-bus runs). It carries pipeline.Result's aliasing
 // contract: Frame, and on an untraced session Record (its Data and
 // Trace) and Frame.Data, are recycled once the sink call returns, so a
-// sink must copy whatever of them it keeps. Bus, Index, Verdict and
-// Trace may be kept freely.
+// sink must copy whatever of them it keeps. Bus, Index, Verdict, Trace
+// and Events may be kept freely.
 type Result struct {
 	Bus string
 	pipeline.Result
+	// Events are the verdict events the session's tally derived from
+	// this result and already sent through the event outlet, tagged
+	// with Bus (nil for an unremarkable frame).
+	Events []obs.Event
 }
 
 // Sink receives results in record order (per bus). A non-nil error
@@ -112,6 +115,12 @@ type Summary struct {
 	// running and end-of-run-only fields (SilentStreams, Incidents,
 	// Flight) are not populated yet.
 	Live bool
+	// Tally is the session's verdict accounting: the summary counters,
+	// the per-SA table and the source of every verdict event. It is set
+	// on every Summary Run returns and on every Summary of Fleet.Run
+	// (empty for a bus that never started), and nil on a Live snapshot,
+	// whose tally ReadTally reads in place.
+	Tally *Tally
 	// Err is the session's replay error — populated on fleet runs,
 	// where one bus's failure must not hide the others' summaries.
 	Err error
@@ -183,21 +192,21 @@ type Session struct {
 	// live is the state a mid-stream Snapshot reads while Run is in
 	// flight: everything in it is either immutable after Run's setup
 	// (src, startVersion), internally synchronised
-	// (pipeline.Replayer.Stats, trace.Reader.Corruptions), or written
-	// exactly once at the end (final). degraded is kept separately by
-	// the sink wrapper so the snapshot never touches the composite's
+	// (pipeline.Replayer.Stats, trace.Reader.Corruptions), written
+	// exactly once at the end (final), or written by the sequencer
+	// under mu (tally), so the snapshot never touches the composite's
 	// unsynchronised quarantine state.
 	live struct {
 		mu           sync.Mutex
 		src          *StreamSource
 		rep          *pipeline.Replayer
 		recorder     *tracing.Recorder
+		tally        *Tally
 		startVersion int
 		started      bool
 		stopEarly    bool
 		final        *Summary
 	}
-	degraded atomic.Int64
 }
 
 // Option configures a Session, or every member of a Fleet.
@@ -269,16 +278,18 @@ func WithLogf(fn func(format string, args ...any)) Option { return func(s *setti
 
 // NewSession builds a session over one capture file.
 func NewSession(capture string, opts ...Option) *Session {
-	return &Session{settings: newSettings(capture, opts)}
+	return newSession(newSettings(capture, opts))
 }
 
-// EmitEvent appends one event to the host fleet's event outlet, tagged
-// with the session's bus name. It is a no-op (nil) before the session
-// runs. Call it from the Run sink.
-func (s *Session) EmitEvent(e obs.Event) error {
-	if s.host == nil {
-		return nil
-	}
+func newSession(cfg settings) *Session {
+	s := &Session{settings: cfg}
+	s.live.tally = NewTally()
+	return s
+}
+
+// emit sends one event through the host fleet's outlet, tagged with
+// the session's bus name.
+func (s *Session) emit(e obs.Event) error {
 	if e.Bus == "" {
 		e.Bus = s.name
 	}
@@ -291,10 +302,13 @@ type emitFunc func(obs.Event) error
 func (fn emitFunc) Emit(e obs.Event) error { return fn(e) }
 
 // Run replays the capture to completion (or first error), delivering
-// verdicts to sink in record order. It may be called once; the
-// returned Summary is valid even on error (with the fields reached so
-// far). Mid-stream death (stall watchdog, unrecovered corruption)
-// comes back wrapped in *AbortError.
+// verdicts to sink in record order; sink may be nil. Every result
+// folds into the session's Tally first, and the events it derives go
+// out through the host fleet's event outlet — an outlet write error
+// stops the replay. Run may be called once; the returned Summary is
+// valid even on error (with the fields reached so far). Mid-stream
+// death (stall watchdog, unrecovered corruption) comes back wrapped in
+// *AbortError.
 //
 // A session from Fleet.Attach runs on that fleet. Any other session
 // runs as the only member of a fleet of its own, which serves its
@@ -310,7 +324,7 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 			}
 		}
 		if err != nil {
-			return Summary{Bus: s.name, Capture: s.capture}, err
+			return Summary{Bus: s.name, Capture: s.capture, Tally: s.live.tally}, err
 		}
 	}
 	sum, err := s.run(sink)
@@ -329,7 +343,7 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 
 // run is the member replay on the host's shared runtime.
 func (s *Session) run(sink Sink) (Summary, error) {
-	sum := Summary{Bus: s.name, Capture: s.capture}
+	sum := Summary{Bus: s.name, Capture: s.capture, Tally: s.live.tally}
 	f := s.host
 	if err := f.begin(); err != nil {
 		return sum, err
@@ -365,7 +379,7 @@ func (s *Session) run(sink Sink) (Summary, error) {
 	var recorder *tracing.Recorder
 	if s.flightDir != "" {
 		rcfg := tracing.RecorderConfig{
-			Window: s.flightWindow, Dir: s.flightDir, Header: h, Events: emitFunc(s.EmitEvent),
+			Window: s.flightWindow, Dir: s.flightDir, Header: h, Events: emitFunc(s.emit),
 		}
 		if stream := s.incStream; stream != nil {
 			// Stamp each finished bundle with the incident that was open
@@ -415,31 +429,25 @@ func (s *Session) run(sink Sink) (Summary, error) {
 		return sum, err
 	}
 
-	var pfn pipeline.Sink
-	if sink != nil {
-		bus := s.name
-		pfn = func(r pipeline.Result) error { return sink(Result{Bus: bus, Result: r}) }
-	}
-	if s.quarantine {
-		// Track the degraded-SA population on an atomic so a mid-stream
-		// Snapshot never reads the composite's quarantine map while the
-		// sequencer is writing it. Wrapped innermost: the count is
-		// updated even when drift/incident wrappers or the user sink
-		// error out later in the chain.
-		deg, inner := &s.degraded, pfn
-		pfn = func(r pipeline.Result) error {
-			if r.Verdict.QuarantineChanged() {
-				if r.Verdict.SAState == ids.SADegraded {
-					deg.Add(1)
-				} else if r.Verdict.PrevSAState == ids.SADegraded {
-					deg.Add(-1)
-				}
+	// Every verdict folds into the tally, under the lock a mid-stream
+	// ReadTally or Snapshot takes, and the events it derives go out
+	// through the fleet outlet before the user sink sees the result.
+	// This is the one place verdict events are made.
+	bus, tally := s.name, s.live.tally
+	pfn := func(r pipeline.Result) error {
+		s.live.mu.Lock()
+		events := tally.Observe(r)
+		s.live.mu.Unlock()
+		for i := range events {
+			events[i].Bus = bus
+			if err := f.emit(events[i]); err != nil {
+				return err
 			}
-			if inner != nil {
-				return inner(r)
-			}
-			return nil
 		}
+		if sink != nil {
+			return sink(Result{Bus: bus, Result: r, Events: events})
+		}
+		return nil
 	}
 	if s.driftMon != nil {
 		// Scored frames feed the drift sketches. Wrapped before the
@@ -449,24 +457,17 @@ func (s *Session) run(sink Sink) (Summary, error) {
 		dm, store, inner := s.driftMon, s.store, pfn
 		pfn = func(r pipeline.Result) error {
 			observeDrift(dm, store, r)
-			if inner != nil {
-				return inner(r)
-			}
-			return nil
+			return inner(r)
 		}
 	}
 	if stream := s.incStream; stream != nil {
-		// Every verdict feeds the correlator, before the user sink, so
-		// a mid-run /fleet scrape is never behind the verdict stream.
-		// The wrapper exists even with no user sink — incidents are a
-		// consumer in their own right.
+		// Every verdict feeds the correlator, before the tally and the
+		// user sink, so a mid-run /fleet scrape is never behind the
+		// verdict stream.
 		inner := pfn
 		pfn = func(r pipeline.Result) error {
 			stream.Observe(incidentEvidence(r))
-			if inner != nil {
-				return inner(r)
-			}
-			return nil
+			return inner(r)
 		}
 	}
 	rep, err := pipeline.New(mon, pipeline.Config{
@@ -528,13 +529,22 @@ func (s *Session) recorder() *tracing.Recorder {
 	return s.live.recorder
 }
 
+// ReadTally returns the session's tally counters and per-SA rows,
+// read in place under the session's lock, so it is safe at any time,
+// mid-run included.
+func (s *Session) ReadTally() (TallyCounts, []TallyRow) {
+	s.live.mu.Lock()
+	defer s.live.mu.Unlock()
+	return s.live.tally.TallyCounts, s.live.tally.Rows()
+}
+
 // Snapshot returns the session's state as of now, safe to call from
 // any goroutine at any time. Before Run starts streaming it returns a
 // zero summary; while the replay is live it returns a mid-stream view
 // (Live=true) with Stats, Corruptions, DegradedSAs, model versioning,
 // drift status and datagram gaps populated — SilentStreams, Incidents
-// and Flight are end-of-run analyses and stay empty; after Run it
-// returns the final Summary.
+// and Flight are end-of-run analyses and stay empty, and the tally is
+// read with ReadTally; after Run it returns the final Summary.
 func (s *Session) Snapshot() Summary {
 	s.live.mu.Lock()
 	if s.live.final != nil {
@@ -543,6 +553,7 @@ func (s *Session) Snapshot() Summary {
 		return sum
 	}
 	src, rep, startVersion, started := s.live.src, s.live.rep, s.live.startVersion, s.live.started
+	degraded := s.live.tally.degradedSAs()
 	s.live.mu.Unlock()
 
 	sum := Summary{Bus: s.name, Capture: s.capture}
@@ -558,7 +569,7 @@ func (s *Session) Snapshot() Summary {
 		sum.Stats = rep.Stats()
 	}
 	sum.Corruptions = src.Corruptions()
-	sum.DegradedSAs = int(s.degraded.Load())
+	sum.DegradedSAs = degraded
 	sum.ModelVersion = s.store.Version()
 	sum.ModelSwaps = sum.ModelVersion - startVersion
 	if s.driftMon != nil {
