@@ -130,7 +130,7 @@ func cmdArena(args []string) error {
 		if err != nil {
 			return fmt.Errorf("arena: scenario %s: %w", spec.Name, err)
 		}
-		row, err := arenaComposite(model, cfg, spec.Name, msgs, *workers)
+		row, err := arenaComposite(v, model, cfg, spec.Name, msgs, *workers)
 		if err != nil {
 			return fmt.Errorf("arena: scenario %s: %w", spec.Name, err)
 		}
@@ -215,19 +215,27 @@ func finishRow(row *arenaRow, cm stats.ConfusionMatrix) {
 // detector on the concurrent pipeline and scores Alarm() against the
 // generator's ground truth. Quarantine stays off: the arena measures
 // raw per-frame detection, not operator-facing coalescing.
-func arenaComposite(model *core.Model, cfg edgeset.Config, scenario string, msgs []attack.Message, workers int) (arenaRow, error) {
+func arenaComposite(v *vehicle.Vehicle, model *core.Model, cfg edgeset.Config, scenario string, msgs []attack.Message, workers int) (arenaRow, error) {
 	mon, err := ids.NewComposite(model, ids.CompositeConfig{Extraction: cfg})
 	if err != nil {
 		return arenaRow{}, err
 	}
-	src := &memSource{recs: make([]*trace.Record, 0, len(msgs))}
 	injected := make([]bool, len(msgs))
-	for i, m := range msgs {
-		injected[i] = m.Injected
-		src.recs = append(src.recs, &trace.Record{
-			ECUIndex: int32(m.ECUIndex), TimeSec: m.TimeSec,
-			FrameID: m.Frame.ID, Data: m.Frame.Data, Trace: m.Trace,
-		})
+	src, err := stageCapture(v, func(tw *trace.Writer) error {
+		for i, m := range msgs {
+			injected[i] = m.Injected
+			err := tw.Write(&trace.Record{
+				ECUIndex: int32(m.ECUIndex), TimeSec: m.TimeSec,
+				FrameID: m.Frame.ID, Data: m.Frame.Data, Trace: m.Trace,
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return arenaRow{}, err
 	}
 	row := arenaRow{Detector: "composite", Scenario: scenario}
 	var cm stats.ConfusionMatrix

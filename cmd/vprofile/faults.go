@@ -1,11 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -181,30 +181,33 @@ func cmdFaults(args []string) error {
 	return nil
 }
 
-// memSource feeds pre-rendered records to the replay pipeline in
-// order — the in-memory counterpart of a capture reader.
-type memSource struct {
-	recs []*trace.Record
-	i    int
-}
-
-func (m *memSource) Next() (*trace.Record, error) {
-	if m.i >= len(m.recs) {
-		return nil, io.EOF
+// stageCapture writes in-memory records through a capture writer and
+// returns a reader over the bytes, so an in-process replay reads
+// exactly what a capture file of v would carry, the writer's range
+// checks included.
+func stageCapture(v *vehicle.Vehicle, write func(*trace.Writer) error) (*trace.Reader, error) {
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, trace.Header{Vehicle: v.Name, BitRate: v.BitRate, ADC: v.ADC})
+	if err != nil {
+		return nil, err
 	}
-	r := m.recs[m.i]
-	m.i++
-	return r, nil
+	if err := write(tw); err != nil {
+		return nil, err
+	}
+	if err := tw.Flush(); err != nil {
+		return nil, err
+	}
+	return trace.NewReader(&buf)
 }
 
 // faultsStep replays one intensity step through a fresh
 // quarantine-enabled composite on the concurrent pipeline: the clean
 // capture first (measuring false alarms), then the foreign-device
 // capture (measuring whether the attack is still caught). Fault
-// injection happens sequentially while staging the records —
-// pre-rendered traces are copied first so steps never contaminate
-// each other — and the pipeline's reordering stage keeps the
-// accounting identical to the old sequential replay.
+// injection happens sequentially while staging the records — each
+// pre-rendered trace is copied into a scratch trace first so steps
+// never contaminate each other — and the pipeline's reordering stage
+// keeps the accounting identical to the old sequential replay.
 func faultsStep(v *vehicle.Vehicle, model *core.Model, extraction edgeset.Config, spec faults.Spec, k float64, faultSeed int64, clean, attack *vehicle.Capture, rcfg pipeline.Config) (faultsPoint, error) {
 	inj, err := faults.NewInjector(spec, faultSeed, v.ADC)
 	if err != nil {
@@ -217,19 +220,25 @@ func faultsStep(v *vehicle.Vehicle, model *core.Model, extraction edgeset.Config
 	if err != nil {
 		return faultsPoint{}, err
 	}
-	src := &memSource{recs: make([]*trace.Record, 0, len(clean.Messages)+len(attack.Messages))}
-	stage := func(m vehicle.Message) {
-		tr := append(analog.Trace(nil), m.Trace...)
-		inj.Apply(len(src.recs), m.ECUIndex, m.TimeSec, tr)
-		src.recs = append(src.recs, &trace.Record{
-			TimeSec: m.TimeSec, FrameID: m.Frame.ID, Data: m.Frame.Data, Trace: tr,
-		})
-	}
-	for _, m := range clean.Messages {
-		stage(m)
-	}
-	for _, m := range attack.Messages {
-		stage(m)
+	src, err := stageCapture(v, func(tw *trace.Writer) error {
+		// The writer serialises each record before the next message
+		// overwrites the scratch trace.
+		var tr analog.Trace
+		n := 0
+		for _, msgs := range [][]vehicle.Message{clean.Messages, attack.Messages} {
+			for _, m := range msgs {
+				tr = append(tr[:0], m.Trace...)
+				inj.Apply(n, m.ECUIndex, m.TimeSec, tr)
+				n++
+				if err := tw.Write(&trace.Record{TimeSec: m.TimeSec, FrameID: m.Frame.ID, Data: m.Frame.Data, Trace: tr}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return faultsPoint{}, err
 	}
 
 	pt := faultsPoint{Intensity: k, Spec: spec.String()}

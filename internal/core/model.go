@@ -198,6 +198,29 @@ type clusterWire struct {
 	N       int
 }
 
+// check rejects cluster statistics whose shape does not match the
+// model's: every distance computation indexes them by dim, so a short
+// slice would panic at load or at the first scored frame.
+func (cw *clusterWire) check(metric Metric, dim int) error {
+	if len(cw.Mean) != dim {
+		return fmt.Errorf("mean has %d values, want %d", len(cw.Mean), dim)
+	}
+	// dim equals a decoded slice length here, so dim*dim cannot
+	// overflow.
+	for _, mat := range [...]struct {
+		name string
+		data []float64
+	}{{"covariance", cw.Cov}, {"inverse covariance", cw.InvCov}} {
+		if len(mat.data) == 0 && metric == Euclidean {
+			continue
+		}
+		if len(mat.data) != dim*dim {
+			return fmt.Errorf("%s has %d values, want %d", mat.name, len(mat.data), dim*dim)
+		}
+	}
+	return nil
+}
+
 // Save serialises the model.
 func (m *Model) Save(w io.Writer) error {
 	if _, err := io.WriteString(w, modelMagic); err != nil {
@@ -229,7 +252,10 @@ func (m *Model) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(wire)
 }
 
-// Load deserialises a model previously written by Save.
+// Load deserialises a model previously written by Save. Model files
+// are external input, so a payload whose metric, dimension or cluster
+// shapes are inconsistent fails with ErrModelFormat instead of
+// panicking later in scoring.
 func Load(r io.Reader) (*Model, error) {
 	head := make([]byte, len(modelMagic)+1)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -245,6 +271,12 @@ func Load(r io.Reader) (*Model, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
 	}
+	if wire.Metric != Euclidean && wire.Metric != Mahalanobis {
+		return nil, fmt.Errorf("%w: unknown metric %d", ErrModelFormat, int(wire.Metric))
+	}
+	if wire.Dim <= 0 {
+		return nil, fmt.Errorf("%w: dimension %d", ErrModelFormat, wire.Dim)
+	}
 	m := &Model{
 		Metric: wire.Metric, Dim: wire.Dim, Margin: wire.Margin,
 		UpdateBound: wire.UpdateBound,
@@ -254,6 +286,9 @@ func Load(r io.Reader) (*Model, error) {
 		m.SALUT[canbus.SourceAddress(sa)] = ClusterID(id)
 	}
 	for i, cw := range wire.Clusters {
+		if err := cw.check(wire.Metric, wire.Dim); err != nil {
+			return nil, fmt.Errorf("%w: cluster %d: %v", ErrModelFormat, i, err)
+		}
 		c := &Cluster{ID: ClusterID(i), Mean: cw.Mean, MaxDist: cw.MaxDist, N: cw.N}
 		for _, sa := range cw.SAs {
 			c.SAs = append(c.SAs, canbus.SourceAddress(sa))

@@ -3,8 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"vprofile/internal/canbus"
 )
 
 // encodeWire builds a model file byte-for-byte the way Save does, but
@@ -71,4 +75,90 @@ func TestLoadRejectsOutOfRangeLUT(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLoadRejectsMalformedShapes feeds Load payloads whose dimension
+// or cluster statistics disagree. Each must fail with ErrModelFormat:
+// a short covariance used to panic inside Load, and the others loaded
+// cleanly and panicked at the first Detect.
+func TestLoadRejectsMalformedShapes(t *testing.T) {
+	base := func() modelWire {
+		return modelWire{
+			Metric: Mahalanobis,
+			Dim:    2,
+			SALUT:  map[uint8]int{0x10: 0},
+			Clusters: []clusterWire{{
+				SAs: []uint8{0x10}, Mean: []float64{1, 2},
+				Cov: []float64{1, 0, 0, 1}, InvCov: []float64{1, 0, 0, 1},
+				MaxDist: 0.5, N: 8,
+			}},
+		}
+	}
+	if m, err := Load(bytes.NewReader(encodeWire(t, base()))); err != nil {
+		t.Fatalf("well-formed payload rejected: %v", err)
+	} else if d := m.Detect(0x10, []float64{1, 2}); d.Anomaly {
+		t.Fatalf("clean sample flagged: %+v", d)
+	}
+
+	cases := []struct {
+		name   string
+		mangle func(*modelWire)
+	}{
+		{"short covariance", func(w *modelWire) { w.Clusters[0].Cov = []float64{1, 0, 0} }},
+		{"short mean", func(w *modelWire) { w.Clusters[0].Mean = []float64{1} }},
+		{"long mean", func(w *modelWire) { w.Clusters[0].Mean = []float64{1, 2, 3} }},
+		{"short inverse covariance", func(w *modelWire) { w.Clusters[0].InvCov = []float64{1} }},
+		{"zero dimension", func(w *modelWire) { w.Dim = 0 }},
+		{"negative dimension", func(w *modelWire) { w.Dim = -2 }},
+		{"mahalanobis without covariance", func(w *modelWire) { w.Clusters[0].Cov, w.Clusters[0].InvCov = nil, nil }},
+		{"unknown metric", func(w *modelWire) { w.Metric = 7 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wire := base()
+			tc.mangle(&wire)
+			m, err := Load(bytes.NewReader(encodeWire(t, wire)))
+			if !errors.Is(err, ErrModelFormat) {
+				t.Fatalf("Load err = %v, want ErrModelFormat", err)
+			}
+			if m != nil {
+				t.Fatal("malformed load returned a model")
+			}
+		})
+	}
+}
+
+// FuzzLoadModel throws arbitrary bytes at Load, which reads external
+// input (policy files, model swaps, -model). It must never panic, and
+// a model it accepts must save, load again and score a Dim-length edge
+// set identically before and after the round trip.
+func FuzzLoadModel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatalf("accepted model does not save: %v", err)
+		}
+		again, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("saved model does not load: %v", err)
+		}
+		set := make([]float64, m.Dim)
+		for i := range set {
+			set[i] = float64(i)
+		}
+		sas := []canbus.SourceAddress{0xFE}
+		for sa := range m.SALUT {
+			sas = append(sas, sa)
+		}
+		for _, sa := range sas {
+			want := fmt.Sprintf("%+v", m.Detect(sa, set))
+			if got := fmt.Sprintf("%+v", again.Detect(sa, set)); got != want {
+				t.Fatalf("SA %#02x scores %s after the round trip, %s before", uint8(sa), got, want)
+			}
+		}
+	})
 }

@@ -93,10 +93,11 @@ func recordSum(r pipeline.Result) uint64 {
 }
 
 // TestSinkAliasingContract pins the Result aliasing contract on the
-// daemon path: on an untraced stream session the record buffers are
-// recycled, so they must stay untouched for the whole sink call and
-// may be reused the moment it returns. At every workers × batch shape,
-// each sink call checksums Record.Trace, Record.Data and Frame.Data,
+// daemon path: a stream session recycles its record buffers, so they
+// must stay untouched for the whole sink call and may be reused the
+// moment it returns. At every workers × batch shape, and on one traced
+// shape (whose flight decisions must copy what they keep), each sink
+// call checksums Record.Trace, Record.Data and Frame.Data,
 // yields, and checksums again — a buffer recycled mid-call changes the
 // sum, and under -race the overlapping write is reported — and the
 // sums must match a pipeline.Sequential reference, record for record.
@@ -136,64 +137,88 @@ func TestSinkAliasingContract(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	type shape struct {
+		workers, batch int
+		traced         bool
+	}
+	var shapes []shape
 	for _, workers := range []int{1, 4, 8} {
 		for _, batch := range []int{1, 7, 64} {
-			t.Run(fmt.Sprintf("workers=%d/batch=%d", workers, batch), func(t *testing.T) {
-				tally := engine.NewTally()
-				var events []obs.Event
-				alarms := 0
-				sess := streamSession(t, data, engine.WithModel(m),
-					engine.WithWorkers(workers), engine.WithBatch(batch),
-					engine.WithDrift(true), engine.WithIncidents(true))
-				sum, err := sess.Run(func(res engine.Result) error {
-					r := res.Result
-					if r.Index >= len(wantSums) {
-						return fmt.Errorf("extra result %d", r.Index)
-					}
-					got := recordSum(r)
-					runtime.Gosched()
-					if again := recordSum(r); again != got {
-						return fmt.Errorf("record %d changed during its sink call", r.Index)
-					}
-					if got != wantSums[r.Index] {
-						return fmt.Errorf("record %d: checksum %x, reference %x", r.Index, got, wantSums[r.Index])
-					}
-					events = append(events, tally.Observe(r)...)
-					if r.Verdict.Voltage.Anomaly {
-						events = append(events, engine.VoltageEvent(r))
-					}
-					if r.Verdict.Alarm() {
-						alarms++
-					}
-					for i := range r.Record.Trace {
-						r.Record.Trace[i] = math.NaN()
-					}
-					for i := range r.Record.Data {
-						r.Record.Data[i] = 0xA5
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n := int(sum.Stats.RecordsOut); n != len(wantSums) {
-					t.Fatalf("delivered %d of %d records", n, len(wantSums))
-				}
-				if n := sum.Stats.BuffersOutstanding; n != 0 {
-					t.Fatalf("%d pooled buffers outstanding after the run", n)
-				}
-				if alarms == 0 {
-					t.Fatal("no alarms; the consumers were never exercised")
-				}
-				if got, want := tally.Table(), wantTally.Table(); got != want {
-					t.Fatalf("tally diverges from the reference:\n%s\nwant:\n%s", got, want)
-				}
-				got, _ := json.Marshal(events)
-				want, _ := json.Marshal(wantEvents)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("events diverge from the reference:\n%s\nwant:\n%s", got, want)
-				}
-			})
+			shapes = append(shapes, shape{workers, batch, false})
 		}
+	}
+	shapes = append(shapes, shape{4, 7, true})
+	for _, sh := range shapes {
+		name := fmt.Sprintf("workers=%d/batch=%d", sh.workers, sh.batch)
+		if sh.traced {
+			name = "traced/" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			opts := []engine.Option{engine.WithModel(m),
+				engine.WithWorkers(sh.workers), engine.WithBatch(sh.batch),
+				engine.WithDrift(true), engine.WithIncidents(true)}
+			if sh.traced {
+				opts = append(opts, engine.WithFlightRecorder(t.TempDir(), 4))
+			}
+			tally := engine.NewTally()
+			var events []obs.Event
+			alarms := 0
+			sess := streamSession(t, data, opts...)
+			sum, err := sess.Run(func(res engine.Result) error {
+				r := res.Result
+				if r.Index >= len(wantSums) {
+					return fmt.Errorf("extra result %d", r.Index)
+				}
+				got := recordSum(r)
+				runtime.Gosched()
+				if again := recordSum(r); again != got {
+					return fmt.Errorf("record %d changed during its sink call", r.Index)
+				}
+				if got != wantSums[r.Index] {
+					return fmt.Errorf("record %d: checksum %x, reference %x", r.Index, got, wantSums[r.Index])
+				}
+				events = append(events, tally.Observe(r)...)
+				if r.Verdict.Voltage.Anomaly {
+					events = append(events, engine.VoltageEvent(r))
+				}
+				if r.Verdict.Alarm() {
+					alarms++
+				}
+				for i := range r.Record.Trace {
+					r.Record.Trace[i] = math.NaN()
+				}
+				for i := range r.Record.Data {
+					r.Record.Data[i] = 0xA5
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := int(sum.Stats.RecordsOut); n != len(wantSums) {
+				t.Fatalf("delivered %d of %d records", n, len(wantSums))
+			}
+			if n := sum.Stats.BuffersOutstanding; n != 0 {
+				t.Fatalf("%d pooled buffers outstanding after the run", n)
+			}
+			if alarms == 0 {
+				t.Fatal("no alarms; the consumers were never exercised")
+			}
+			if got, want := tally.Table(), wantTally.Table(); got != want {
+				t.Fatalf("tally diverges from the reference:\n%s\nwant:\n%s", got, want)
+			}
+			if sh.traced {
+				// Traced events carry the frame's trace id; the untraced
+				// reference has none.
+				for i := range events {
+					events[i].Trace = ""
+				}
+			}
+			got, _ := json.Marshal(events)
+			want, _ := json.Marshal(wantEvents)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("events diverge from the reference:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }

@@ -62,8 +62,8 @@ func ExtractionFor(h trace.Header) edgeset.Config {
 
 // Result is one record's verdict tagged with the bus it came from
 // (empty on single-bus runs). It carries pipeline.Result's aliasing
-// contract: Frame, and on an untraced session Record (its Data and
-// Trace) and Frame.Data, are recycled once the sink call returns, so a
+// contract: Frame and Record (its Data and Trace), and so Frame.Data,
+// are recycled once the sink call returns, traced session or not, so a
 // sink must copy whatever of them it keeps. Bus, Index, Verdict, Trace
 // and Events may be kept freely.
 type Result struct {

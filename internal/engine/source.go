@@ -17,11 +17,10 @@ import (
 // file itself, it consumes whatever stream is attached, indefinitely,
 // until the stream ends or Stop asks for a drain.
 //
-// StreamSource implements the pipeline's Source, RawSource and
-// NextRawInto refinements, so the zero-allocation batched hot path is
-// identical for a socket feed and a file replay — backpressure falls
-// out of the blocking Read: when the pipeline is saturated the source
-// simply reads the transport slower.
+// StreamSource implements pipeline.Source, so the zero-allocation
+// batched hot path is identical for a socket feed and a file replay —
+// backpressure falls out of the blocking Read: when the pipeline is
+// saturated the source simply reads the transport slower.
 type StreamSource struct {
 	name    string
 	rd      *trace.Reader
@@ -151,24 +150,8 @@ func (s *StreamSource) Stopped() bool { return s.stopped.Load() }
 // Close releases the transport.
 func (s *StreamSource) Close() error { return s.closer.Close() }
 
-// Next implements pipeline.Source.
-func (s *StreamSource) Next() (*trace.Record, error) {
-	if s.stopped.Load() {
-		return nil, io.EOF
-	}
-	return s.rd.Next()
-}
-
-// NextRaw implements pipeline.RawSource.
-func (s *StreamSource) NextRaw() (*trace.RawRecord, error) {
-	if s.stopped.Load() {
-		return nil, io.EOF
-	}
-	return s.rd.NextRaw()
-}
-
-// NextRawInto implements the pipeline's zero-allocation refinement,
-// so untraced replays recycle record buffers over socket feeds too.
+// NextRawInto implements pipeline.Source: it refills rec with the next
+// record, or returns io.EOF once the stream ends or Stop was called.
 func (s *StreamSource) NextRawInto(rec *trace.RawRecord) error {
 	if s.stopped.Load() {
 		return io.EOF

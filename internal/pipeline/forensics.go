@@ -10,8 +10,9 @@ import (
 // buildDecision flattens one frame's verdict, evidence and detector
 // state into the flight recorder's record. Every slice handed over is
 // either freshly allocated here or owned exclusively by this frame
-// (the record's payload and trace, the extracted edge set), honouring
-// the recorder's immutability contract.
+// (the extracted edge set), honouring the recorder's immutability
+// contract. The record's payload and trace are copied: the record
+// itself is recycled once the sink call returns.
 func buildDecision(idx int, cur *scored, verdict ids.CompositeResult, state ids.SequenceState) *tracing.Decision {
 	// The record lives in the FrameTrace's own allocation — the trace,
 	// its spans and the decision are one per-frame object.
@@ -22,10 +23,10 @@ func buildDecision(idx int, cur *scored, verdict ids.CompositeResult, state ids.
 		TimeSec:  cur.rec.TimeSec,
 		FrameID:  cur.rec.FrameID,
 		SA:       uint8(cur.frame.SA()),
-		Data:     cur.rec.Data,
+		Data:     append(tracing.HexBytes(nil), cur.rec.Data...),
 		ECUIndex: cur.rec.ECUIndex,
 		Spans:    cur.ft.Spans,
-		Samples:  cur.rec.Trace,
+		Samples:  append([]float64(nil), cur.rec.Trace...),
 	}
 
 	if verdict.ExtractErr != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 
 	"vprofile/internal/canbus"
@@ -207,6 +208,48 @@ func TestFlightBundleReproducesAlarm(t *testing.T) {
 	}
 	if voltageChecked == 0 {
 		t.Fatal("no voltage-alarm bundle was verified")
+	}
+}
+
+// TestFlightBundlesOwnTheirRecords pins the ownership rule that lets
+// traced replays recycle their records: every decision a bundle keeps
+// holds its own copy of the record's payload and samples, so after a
+// replay that reused every record buffer many times over, each one
+// still equals the capture's record at its index.
+func TestFlightBundlesOwnTheirRecords(t *testing.T) {
+	v := vehicle.NewVehicleB()
+	model := buildModel(t, v)
+	capture := buildCapture(t, v)
+	_, recs, err := trace.ReadAll(bytes.NewReader(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := trace.NewReader(bytes.NewReader(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := tracing.NewRecorder(tracing.RecorderConfig{Window: 4, Keep: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := newMonitor(t, v, model)
+	if _, err := pipeline.Replay(rd, mon, pipeline.Config{Workers: 4, Recorder: rec}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bundles := rec.Bundles()
+	if len(bundles) == 0 {
+		t.Fatal("hijack replay produced no bundles")
+	}
+	for _, b := range bundles {
+		for _, d := range b.Decisions {
+			want := recs[d.Index]
+			if !bytes.Equal(d.Data, want.Data) || !slices.Equal(d.Samples, want.Trace) {
+				t.Fatalf("bundle %d decision %d does not hold its own record bytes", b.Seq, d.Index)
+			}
+		}
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 //  1. a reader goroutine pulls records off the capture stream in
 //     order and tags each with its index — kept deliberately thin
-//     (raw, undecoded records when the source supports it) because
+//     (raw, undecoded records refilled into pooled buffers) because
 //     stream decoding is the one inherently serial stage;
 //  2. a worker pool fans out the stateless hot path — sample
 //     decoding, edge-set extraction and vProfile scoring
@@ -45,23 +45,12 @@ import (
 	"vprofile/internal/trace"
 )
 
-// Source yields capture records in order. *trace.Reader implements
-// it; so does any in-memory record queue.
+// Source yields capture records in order by refilling a caller-owned
+// raw record, overwriting every field, and returns io.EOF at the end
+// of the stream. The sample codes stay packed so the float64 expansion
+// runs in the worker pool, and the pipeline recycles record buffers
+// end to end. *trace.Reader and engine.StreamSource implement it.
 type Source interface {
-	Next() (*trace.Record, error)
-}
-
-// RawSource is the fast path: sources that can hand out records with
-// still-packed sample codes let the pipeline move the float64
-// expansion into the worker pool. *trace.Reader implements it.
-type RawSource interface {
-	NextRaw() (*trace.RawRecord, error)
-}
-
-// rawIntoSource is the zero-allocation refinement of RawSource:
-// sources that can refill a caller-owned raw record (*trace.Reader)
-// let an untraced replay recycle record buffers end to end.
-type rawIntoSource interface {
 	NextRawInto(*trace.RawRecord) error
 }
 
@@ -126,15 +115,12 @@ var ErrStalled = errors.New("pipeline: replay stalled (sink made no progress wit
 // order.
 //
 // Aliasing contract: a sink that keeps anything a Result points to
-// past its own call must copy it. Frame points into the pipeline's
-// recycled batch storage on every replay. On an untraced replay over a
-// source that refills caller-owned records (*trace.Reader and anything
-// wrapping its NextRawInto), Record — its Data and Trace — is recycled
-// too, and so is Frame.Data, which aliases Record.Data: at replay
-// rates the per-frame trace alone is tens of kilobytes, enough to make
-// the allocator and GC the bottleneck. Traced replays (Config has a
-// Recorder) allocate every record, because their forensic bundles
-// retain record internals. Index, Verdict and Trace may be kept freely.
+// past its own call must copy it. On every replay, traced or not,
+// Frame points into the pipeline's recycled batch storage and Record —
+// its Data and Trace — is recycled too, and so is Frame.Data, which
+// aliases Record.Data: at replay rates the per-frame trace alone is
+// tens of kilobytes, enough to make the allocator and GC the
+// bottleneck. Index, Verdict and Trace may be kept freely.
 type Result struct {
 	Index   int
 	Record  *trace.Record
@@ -194,8 +180,7 @@ type Replayer struct {
 	recorder *tracing.Recorder
 	stall    time.Duration
 
-	// rc is the replay's buffer accounting; Run sets rc.records once it
-	// knows whether the source supports record refilling.
+	// rc is the replay's buffer accounting.
 	rc *recycler
 
 	ran             atomic.Bool
@@ -279,12 +264,12 @@ type scored struct {
 }
 
 // processBatch is the stateless hot path one pool task runs: decode
-// each raw record if needed, extract and score it, then hand the whole
-// scored batch to the reordering stage in one channel operation. It
-// parks on this replay's bounded out channel and is released by
-// abandon — releasing the batch's pooled buffers on that path — so a
-// stalled replay never wedges a shared pool beyond its in-flight tasks
-// and an abandoned batch never strands a buffer.
+// each raw record into a pooled record, extract and score it, then
+// hand the whole scored batch to the reordering stage in one channel
+// operation. It parks on this replay's bounded out channel and is
+// released by abandon — releasing the batch's pooled buffers on that
+// path — so a stalled replay never wedges a shared pool beyond its
+// in-flight tasks and an abandoned batch never strands a buffer.
 func (p *Replayer) processBatch(jobs []job, out chan<- []scored, abandon <-chan struct{}) {
 	m := p.metrics
 	rc := p.rc
@@ -295,21 +280,14 @@ func (p *Replayer) processBatch(jobs []job, out chan<- []scored, abandon <-chan 
 		if m != nil {
 			t0 = time.Now()
 		}
-		if j.raw != nil {
-			sp := j.ft.StartSpan("pipeline.decode")
-			if rc.records {
-				rec := rc.getRec()
-				j.raw.DecodeInto(rec)
-				rc.putRaw(j.raw)
-				j.rec = rec
-			} else {
-				j.rec = j.raw.Decode()
-			}
-			j.raw = nil
-			sp.End()
-			if m != nil {
-				m.DecodeSeconds.Observe(time.Since(t0).Seconds())
-			}
+		sp := j.ft.StartSpan("pipeline.decode")
+		j.rec = rc.getRec()
+		j.raw.DecodeInto(j.rec)
+		rc.putRaw(j.raw)
+		j.raw = nil
+		sp.End()
+		if m != nil {
+			m.DecodeSeconds.Observe(time.Since(t0).Seconds())
 		}
 		sb = append(sb, scored{job: j, frame: canbus.ExtendedFrame{ID: j.rec.FrameID, Data: j.rec.Data}})
 		s := &sb[len(sb)-1]
@@ -357,14 +335,7 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 		p.wallNanos.Store(time.Now().UnixNano() - p.startNanos.Load())
 	}()
 
-	// Record-buffer recycling needs a source that can refill
-	// caller-owned records and a sink path that retains nothing past
-	// the sink call — traced replays retain forensics, so they keep
-	// allocating.
-	intoSrc, _ := src.(rawIntoSource)
 	rc := p.rc
-	rc.records = p.recorder == nil && intoSrc != nil
-
 	jobs := make(chan []job, p.depth)
 	out := make(chan []scored, p.depth)
 	// abandon is closed only when the sink fails and stage 3 stops
@@ -437,14 +408,12 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 		}()
 	}
 
-	// Stage 1: the reader tags records with their stream index and
-	// accumulates them into batches. With a RawSource the samples stay
-	// packed here and inflate in the workers, keeping the serial stage
-	// as thin as the format allows; with buffer recycling on, the raw
-	// records themselves come from the pool. A source error does not
+	// Stage 1: the reader refills pooled raw records, tags them with
+	// their stream index and accumulates them into batches. The samples
+	// stay packed here and inflate in the workers, keeping the serial
+	// stage as thin as the format allows. A source error does not
 	// abandon the replay: the partial batch already read is flushed so
 	// the sink sees the complete prefix before the error surfaces.
-	rawSrc, _ := src.(RawSource)
 	go func() {
 		defer close(jobs)
 		batch := rc.getJobBatch()
@@ -466,7 +435,7 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 			}
 		}
 		for idx := 0; ; idx++ {
-			var j job
+			j := job{idx: idx}
 			var sp *tracing.Span
 			if p.recorder != nil {
 				// TraceIDs are the 1-based record index: deterministic, so
@@ -474,47 +443,17 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 				j.ft = tracing.NewFrameTrace(tracing.TraceID(idx) + 1)
 				sp = j.ft.StartSpan("pipeline.read")
 			}
-			if rc.records {
-				raw := rc.getRaw()
-				err := intoSrc.NextRawInto(raw)
-				if err != nil {
-					rc.putRaw(raw)
-					if !errors.Is(err, io.EOF) {
-						setErr(err)
-					}
-					flush()
-					if batch != nil {
-						rc.putJobBatch(batch)
-					}
-					return
+			j.raw = rc.getRaw()
+			if err := src.NextRawInto(j.raw); err != nil {
+				rc.putRaw(j.raw)
+				if !errors.Is(err, io.EOF) {
+					setErr(err)
 				}
-				j.idx, j.raw = idx, raw
-			} else if rawSrc != nil {
-				raw, err := rawSrc.NextRaw()
-				if err != nil {
-					if !errors.Is(err, io.EOF) {
-						setErr(err)
-					}
-					flush()
-					if batch != nil {
-						rc.putJobBatch(batch)
-					}
-					return
+				flush()
+				if batch != nil {
+					rc.putJobBatch(batch)
 				}
-				j.idx, j.raw = idx, raw
-			} else {
-				rec, err := src.Next()
-				if err != nil {
-					if !errors.Is(err, io.EOF) {
-						setErr(err)
-					}
-					flush()
-					if batch != nil {
-						rc.putJobBatch(batch)
-					}
-					return
-				}
-				j.idx, j.rec = idx, rec
+				return
 			}
 			sp.End()
 			p.recordsIn.Add(1)
@@ -631,11 +570,9 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 			p.recorder.Record(buildDecision(next, s, verdict, state))
 		}
 		err := fn(Result{Index: next, Record: s.rec, Frame: &s.frame, Verdict: verdict, Trace: s.ft})
-		if rc.records {
-			// The sink call is over; the Result aliasing contract says
-			// the record may now be recycled.
-			rc.putRec(s.rec)
-		}
+		// The sink call is over; the Result aliasing contract says the
+		// record may now be recycled.
+		rc.putRec(s.rec)
 		s.rec = nil
 		if m != nil {
 			m.SequenceSeconds.Observe(time.Since(t0).Seconds())
@@ -697,8 +634,9 @@ func Replay(src Source, mon *ids.Composite, cfg Config, fn Sink) (Stats, error) 
 // Sequential replays the source on the calling goroutine through
 // Composite.Process — the reference path the pipeline must match
 // bit-for-bit, and the baseline its benchmarks compare against. It
-// fills the same Stats (WorkerBusy covers the extract+score step so
-// utilisation remains comparable).
+// decodes a fresh Record per frame, so a sink may keep what a Result
+// points to. It fills the same Stats (WorkerBusy covers the
+// extract+score step so utilisation remains comparable).
 func Sequential(src Source, mon *ids.Composite, fn Sink) (Stats, error) {
 	if mon == nil {
 		return Stats{}, errors.New("pipeline: nil monitor")
@@ -708,8 +646,9 @@ func Sequential(src Source, mon *ids.Composite, fn Sink) (Stats, error) {
 	}
 	stats := Stats{Workers: 1}
 	start := time.Now()
+	var raw trace.RawRecord
 	for idx := 0; ; idx++ {
-		rec, err := src.Next()
+		err := src.NextRawInto(&raw)
 		if errors.Is(err, io.EOF) {
 			stats.WallTime = time.Since(start)
 			return stats, nil
@@ -719,6 +658,7 @@ func Sequential(src Source, mon *ids.Composite, fn Sink) (Stats, error) {
 			return stats, err
 		}
 		stats.RecordsIn++
+		rec := raw.Decode()
 		frame := &canbus.ExtendedFrame{ID: rec.FrameID, Data: rec.Data}
 		t0 := time.Now()
 		det, extractErr := mon.VoltageVerdict(frame, rec.Trace)

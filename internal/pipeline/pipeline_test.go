@@ -377,12 +377,12 @@ type errorSource struct {
 	err error
 }
 
-func (s *errorSource) Next() (*trace.Record, error) {
+func (s *errorSource) NextRawInto(rec *trace.RawRecord) error {
 	if s.n <= 0 {
-		return nil, s.err
+		return s.err
 	}
 	s.n--
-	return s.src.Next()
+	return s.src.NextRawInto(rec)
 }
 
 func TestPipelineStopsOnSourceError(t *testing.T) {

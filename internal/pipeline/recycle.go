@@ -30,11 +30,9 @@ const maxPooledSamples = 1 << 15
 
 // recycler is one replay's view of the shared pools: it hands out
 // per-batch and per-record buffers so the steady-state hot path stops
-// allocating, and counts them. Batch slices are always pooled;
-// raw/decoded record buffers only when records is true — untraced
-// replays over a source that refills caller-owned records. Traced
-// replays keep allocating records, because their forensic bundles
-// retain record internals past the sink call.
+// allocating, and counts them. Every replay pools both; a traced
+// replay's flight decisions copy what they keep of a record, so no
+// record outlives its sink call.
 //
 // outstanding counts this replay's gets minus puts across every pooled
 // object kind. A replay that ends — cleanly, on a sink error, or
@@ -42,8 +40,7 @@ const maxPooledSamples = 1 << 15
 // abandoned batch would strand its buffers (and, before this
 // accounting existed, silently mask a stranded worker slot).
 type recycler struct {
-	batch   int
-	records bool
+	batch int
 
 	outstanding atomic.Int64
 }
@@ -82,9 +79,6 @@ func (rc *recycler) getRaw() *trace.RawRecord {
 }
 
 func (rc *recycler) putRaw(r *trace.RawRecord) {
-	if r == nil {
-		return
-	}
 	rc.outstanding.Add(-1)
 	if cap(r.Codes) > 2*maxPooledSamples {
 		return
@@ -108,26 +102,21 @@ func (rc *recycler) putRec(r *trace.Record) {
 	recPool.Put(r)
 }
 
-// releaseJobs returns an abandoned job batch and, in record-pooling
-// mode, every record buffer still travelling in it.
+// releaseJobs returns an abandoned job batch and the raw record every
+// job in it still holds (jobs are decoded only inside processBatch).
 func (rc *recycler) releaseJobs(b []job) {
-	if rc.records {
-		for i := range b {
-			rc.putRaw(b[i].raw)
-			rc.putRec(b[i].rec)
-		}
+	for i := range b {
+		rc.putRaw(b[i].raw)
 	}
 	rc.putJobBatch(b)
 }
 
 // releaseScored returns an abandoned scored batch and the record
 // buffers its undelivered entries still hold (raw is nil by this
-// stage; the decoded record may be pooled).
+// stage).
 func (rc *recycler) releaseScored(b []scored) {
-	if rc.records {
-		for i := range b {
-			rc.putRec(b[i].rec)
-		}
+	for i := range b {
+		rc.putRec(b[i].rec)
 	}
 	rc.putScoredBatch(b)
 }

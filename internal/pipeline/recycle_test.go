@@ -40,7 +40,7 @@ func TestPoolsDropOversizedBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rc := &recycler{batch: 1, records: true}
+	rc := &recycler{batch: 1}
 	for i := 0; i < 9; i++ {
 		raw := rc.getRaw()
 		if err := rd.NextRawInto(raw); err != nil {

@@ -30,8 +30,9 @@ func FuzzReaderResync(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Strict mode: errors are fine, panics are not.
 		if rd, err := trace.NewReader(bytes.NewReader(data)); err == nil {
+			var rec trace.RawRecord
 			for {
-				if _, err := rd.NextRaw(); err != nil {
+				if err := rd.NextRawInto(&rec); err != nil {
 					break
 				}
 			}
@@ -43,16 +44,13 @@ func FuzzReaderResync(f *testing.F) {
 		}
 		rd.EnableRecovery()
 		records := 0
+		var rec trace.RawRecord
 		for {
-			rec, err := rd.NextRaw()
-			if err != nil {
+			if err := rd.NextRawInto(&rec); err != nil {
 				if !errors.Is(err, io.EOF) {
 					t.Fatalf("recovering reader surfaced %v", err)
 				}
 				break
-			}
-			if rec == nil {
-				t.Fatal("recovering reader returned nil record without error")
 			}
 			records++
 			if records > len(data) {
@@ -72,11 +70,11 @@ func FuzzReaderResync(f *testing.F) {
 	})
 }
 
-// FuzzNextRawInto checks the buffer-reusing read path against the
-// allocating one on arbitrary bytes: one RawRecord, reused across the
-// whole stream — growing, shrinking, and left half-filled by a failed
-// read — must yield exactly what NextRaw yields, record for record and
-// error for error, in strict and recovering mode alike.
+// FuzzNextRawInto checks buffer reuse on arbitrary bytes: one
+// RawRecord, reused across the whole stream — growing, shrinking, and
+// left half-filled by a failed read — must yield exactly what
+// NextRawInto into a fresh RawRecord per call yields, record for
+// record and error for error, in strict and recovering mode alike.
 func FuzzNextRawInto(f *testing.F) {
 	clean, _, _ := resyncFixture(f, 6)
 	f.Add(clean)
@@ -103,10 +101,11 @@ func FuzzNextRawInto(f *testing.F) {
 			}
 			var raw trace.RawRecord
 			for i := 0; ; i++ {
-				want, wantErr := ra.NextRaw()
+				want := new(trace.RawRecord)
+				wantErr := ra.NextRawInto(want)
 				gotErr := rb.NextRawInto(&raw)
 				if errText(wantErr) != errText(gotErr) {
-					t.Fatalf("recovering=%v record %d: NextRaw err %v, NextRawInto err %v", recovering, i, wantErr, gotErr)
+					t.Fatalf("recovering=%v record %d: fresh read err %v, reused read err %v", recovering, i, wantErr, gotErr)
 				}
 				if wantErr != nil {
 					break

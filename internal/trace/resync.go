@@ -38,8 +38,8 @@ const resyncWindow = 64 << 10
 const minHeaderLen = 18
 
 // EnableRecovery switches the reader into degraded-tolerant mode:
-// instead of aborting on the first corrupt record, NextRaw (and Next)
-// scans forward for the next plausible record boundary, resumes
+// instead of aborting on the first corrupt record, NextRawInto (and
+// Next) scans forward for the next plausible record boundary, resumes
 // there, and files a RecoveredCorruption report. Mid-record EOF is
 // reported and then surfaced as a clean io.EOF, so a truncated
 // capture yields every record before the cut.
@@ -73,30 +73,28 @@ func (r *Reader) Corruptions() []RecoveredCorruption {
 	return out
 }
 
-// nextRawRecovering is NextRaw in recovery mode: parse, and on
-// corruption record the damage, resync, retry.
-func (r *Reader) nextRawRecovering() (*RawRecord, error) {
+// nextRawRecovering is NextRawInto in recovery mode: parse into rec,
+// and on corruption record the damage, resync and parse into rec
+// again. A failed parse may leave rec half-filled; the retry
+// overwrites every field.
+func (r *Reader) nextRawRecovering(rec *RawRecord) error {
 	for {
-		rec := new(RawRecord)
 		err := r.nextRawOnceInto(rec)
-		if err == nil {
-			return rec, nil
-		}
-		if errors.Is(err, io.EOF) {
-			return nil, err
+		if err == nil || errors.Is(err, io.EOF) {
+			return err
 		}
 		report := RecoveredCorruption{Offset: r.off, Err: err}
 		// A parse that died on end-of-stream is a truncated capture:
 		// nothing to scan for, so report it and end cleanly.
 		if truncated(err) {
 			r.fileReport(report)
-			return nil, io.EOF
+			return io.EOF
 		}
 		skipped, found := r.resync()
 		report.Skipped = skipped
 		r.fileReport(report)
 		if !found {
-			return nil, io.EOF
+			return io.EOF
 		}
 	}
 }

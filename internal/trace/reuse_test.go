@@ -36,11 +36,11 @@ func reuseFixture(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestNextRawIntoMatchesNextRaw reads the same capture through the
-// allocating and the buffer-reusing paths — one RawRecord and one
-// Record reused across the whole stream — and requires identical
-// records, including after shrink/regrow transitions.
-func TestNextRawIntoMatchesNextRaw(t *testing.T) {
+// TestNextRawIntoMatchesFreshRead reads the same capture into a fresh
+// RawRecord per call and into one RawRecord and one Record reused
+// across the whole stream, and requires identical records, including
+// after shrink/regrow transitions.
+func TestNextRawIntoMatchesFreshRead(t *testing.T) {
 	data := reuseFixture(t)
 
 	ra, err := NewReader(bytes.NewReader(data))
@@ -55,10 +55,11 @@ func TestNextRawIntoMatchesNextRaw(t *testing.T) {
 	var raw RawRecord
 	var rec Record
 	for i := 0; ; i++ {
-		want, wantErr := ra.NextRaw()
+		want := new(RawRecord)
+		wantErr := ra.NextRawInto(want)
 		gotErr := rb.NextRawInto(&raw)
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("record %d: NextRaw err %v, NextRawInto err %v", i, wantErr, gotErr)
+			t.Fatalf("record %d: fresh read err %v, reused read err %v", i, wantErr, gotErr)
 		}
 		if wantErr != nil {
 			if !errors.Is(wantErr, io.EOF) || !errors.Is(gotErr, io.EOF) {
@@ -113,9 +114,10 @@ func TestDecodeIntoCopiesData(t *testing.T) {
 }
 
 // TestNextRawIntoDecodeIntoAllocFree is the allocation gate of the
-// strict read path the replay pipeline runs per frame: once one
-// RawRecord and one Record have grown to the capture's record size,
-// reading and decoding every further record allocates nothing.
+// read path the replay pipeline runs per frame, strict and recovering:
+// once one RawRecord and one Record have grown to the capture's record
+// size, reading and decoding every further record of a clean stream
+// allocates nothing.
 func TestNextRawIntoDecodeIntoAllocFree(t *testing.T) {
 	const runs = 64
 	var buf bytes.Buffer
@@ -140,19 +142,24 @@ func TestNextRawIntoDecodeIntoAllocFree(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw RawRecord
-	var rec Record
-	allocs := testing.AllocsPerRun(runs, func() {
-		if err := rd.NextRawInto(&raw); err != nil {
+	for _, recovering := range []bool{false, true} {
+		rd, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
 			t.Fatal(err)
 		}
-		raw.DecodeInto(&rec)
-	})
-	if allocs != 0 {
-		t.Fatalf("NextRawInto + DecodeInto allocate %.1f times per record, want 0", allocs)
+		if recovering {
+			rd.EnableRecovery()
+		}
+		var raw RawRecord
+		var rec Record
+		allocs := testing.AllocsPerRun(runs, func() {
+			if err := rd.NextRawInto(&raw); err != nil {
+				t.Fatal(err)
+			}
+			raw.DecodeInto(&rec)
+		})
+		if allocs != 0 {
+			t.Fatalf("recovering=%v: NextRawInto + DecodeInto allocate %.1f times per record, want 0", recovering, allocs)
+		}
 	}
 }

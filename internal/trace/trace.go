@@ -273,40 +273,18 @@ func (rr *RawRecord) DecodeInto(rec *Record) {
 	}
 }
 
-// NextRaw reads the next record without decoding its samples, or
-// io.EOF at the end of the capture. With EnableRecovery, corrupt
-// stretches are skipped (and reported through Corruptions) instead of
-// ending the read.
-func (r *Reader) NextRaw() (*RawRecord, error) {
-	if !r.recover {
-		rec := new(RawRecord)
-		if err := r.nextRawOnceInto(rec); err != nil {
-			return nil, err
-		}
-		return rec, nil
-	}
-	return r.nextRawRecovering()
-}
-
-// NextRawInto is NextRaw over a caller-owned RawRecord, reusing its
-// Data and Codes capacity so a steady-state replay loop stops
-// allocating per record. Every field of rec is overwritten. The
-// recovery path (EnableRecovery) keeps its allocating resynchroniser —
-// corruption is the cold path — and copies the result into rec.
+// NextRawInto reads the next record into a caller-owned RawRecord
+// without decoding its samples, or returns io.EOF at the end of the
+// capture. It reuses rec's Data and Codes capacity, so a steady-state
+// replay loop stops allocating per record; every field of rec is
+// overwritten on success. With EnableRecovery, corrupt stretches are
+// skipped (and reported through Corruptions) instead of ending the
+// read.
 func (r *Reader) NextRawInto(rec *RawRecord) error {
 	if !r.recover {
 		return r.nextRawOnceInto(rec)
 	}
-	raw, err := r.nextRawRecovering()
-	if err != nil {
-		return err
-	}
-	rec.ECUIndex = raw.ECUIndex
-	rec.TimeSec = raw.TimeSec
-	rec.FrameID = raw.FrameID
-	rec.Data = append(rec.Data[:0], raw.Data...)
-	rec.Codes = append(rec.Codes[:0], raw.Codes...)
-	return nil
+	return r.nextRawRecovering(rec)
 }
 
 // codesChunk bounds a single sample-payload allocation: payload
@@ -393,8 +371,8 @@ func (r *Reader) nextRawOnceInto(rec *RawRecord) error {
 
 // Next reads the next record, or io.EOF at the end of the capture.
 func (r *Reader) Next() (*Record, error) {
-	raw, err := r.NextRaw()
-	if err != nil {
+	var raw RawRecord
+	if err := r.NextRawInto(&raw); err != nil {
 		return nil, err
 	}
 	return raw.Decode(), nil
