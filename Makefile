@@ -44,6 +44,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDatagramAccept$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/control
 	$(GO) test -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz '^FuzzDecodeBody$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/control/controlserver
 
 # bench-replay compares sequential replay against the concurrent
 # pipeline at 1/2/4/8 workers (plus instrumented variants) on a

@@ -2,6 +2,7 @@ package controlserver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -69,13 +70,24 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, controlapi.Error{Error: err.Error()})
 }
 
+// decodeBody reads a POST body holding exactly one JSON value into v.
+// It is as strict as the policy parser: an unknown field (a misspelled
+// "quarantin") or data after the value is a 400, never a silently
+// default-valued request.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("%s requires POST", r.URL.Path))
 		return false
 	}
-	body := io.LimitReader(r.Body, maxRequestBody)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
 		return false
 	}

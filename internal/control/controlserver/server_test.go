@@ -2,6 +2,8 @@ package controlserver_test
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -122,5 +124,46 @@ func TestControlAPIEndToEnd(t *testing.T) {
 	}
 	if _, err := c.Detach(ctx, "api1"); err == nil {
 		t.Fatal("double detach accepted")
+	}
+}
+
+// TestAttachRejectsMalformedBodies posts attach bodies the typed client
+// never sends. A misspelled key must come back as a 400 naming the key,
+// not as a bus attached with that setting silently off, and so must a
+// body with data after its JSON value. Neither attaches a bus.
+func TestAttachRejectsMalformedBodies(t *testing.T) {
+	dir, _, _, _ := fixtureDir(t)
+	d, err := controlserver.New(controlserver.Config{BaseDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Drain(5 * time.Second)
+	srv, err := controlserver.Serve("127.0.0.1:0", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	url := "http://" + srv.Addr() + controlapi.PathAttach
+	for _, tc := range []struct{ body, want string }{
+		{`{"bus":"typo","listen":"tcp://127.0.0.1:0","model":"model.vpm","quarantin":true}`, `"quarantin"`},
+		{`{"bus":"tail","listen":"tcp://127.0.0.1:0","model":"model.vpm"} {"bus":"more"}`, "data after the JSON value"},
+	} {
+		resp, err := http.Post(url, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e controlapi.Error
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if derr != nil {
+			t.Fatalf("body %s: undecodable response: %v", tc.body, derr)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Fatalf("body %s: status %d, error %q; want 400 naming %s", tc.body, resp.StatusCode, e.Error, tc.want)
+		}
+	}
+	if buses := d.Status().Buses; len(buses) != 0 {
+		t.Fatalf("malformed attach bodies attached %d buses", len(buses))
 	}
 }

@@ -186,6 +186,26 @@ func TestDetectLegitimateTraffic(t *testing.T) {
 	}
 }
 
+// TestDetectAllocFree pins Detect at zero allocations per call. Detect
+// is DetectExplainInto with the evidence dropped, and its distance
+// buffer lives on the stack, so the untraced replay path pays nothing
+// for sharing Algorithm 3 with the explained path.
+func TestDetectAllocFree(t *testing.T) {
+	m, ecus, rng := trainTest(t, Mahalanobis, TrainConfig{TargetClusters: 4})
+	ok, forged := ecus[1].sample(rng), ecus[2].sample(rng)
+	forged.SA = ok.SA
+	for _, s := range []Sample{ok, forged} {
+		want, _ := m.DetectExplain(s.SA, s.Set)
+		var got Detection
+		if allocs := testing.AllocsPerRun(100, func() { got = m.Detect(s.SA, s.Set) }); allocs != 0 {
+			t.Fatalf("Detect allocates %.0f times per call, want 0", allocs)
+		}
+		if got != want {
+			t.Fatalf("Detect %+v, DetectExplain %+v", got, want)
+		}
+	}
+}
+
 func TestDetectUnknownSA(t *testing.T) {
 	m, _, rng := trainTest(t, Mahalanobis, TrainConfig{TargetClusters: 4})
 	set := make(linalg.Vector, 8)

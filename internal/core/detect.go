@@ -46,20 +46,13 @@ type Detection struct {
 
 // Detect classifies an edge set claiming to originate from sa, per
 // Algorithm 3. The model's Margin widens each cluster's trained
-// MaxDist threshold.
+// MaxDist threshold. It is DetectExplainInto with the evidence
+// discarded; the distances land on the stack, so a model of up to 16
+// clusters scores without allocating.
 func (m *Model) Detect(sa canbus.SourceAddress, set linalg.Vector) Detection {
-	expID, ok := m.SALUT[sa]
-	if !ok {
-		return Detection{Anomaly: true, Reason: ReasonUnknownSA, Expected: -1, Predict: -1}
-	}
-	pred, minDist := m.Nearest(set)
-	if pred != expID {
-		return Detection{Anomaly: true, Reason: ReasonClusterMismatch, Expected: expID, Predict: pred, MinDist: minDist}
-	}
-	if minDist > m.Clusters[expID].MaxDist+m.Margin {
-		return Detection{Anomaly: true, Reason: ReasonOverThreshold, Expected: expID, Predict: pred, MinDist: minDist}
-	}
-	return Detection{Expected: expID, Predict: pred, MinDist: minDist}
+	var buf [16]ClusterDistance
+	det, _ := m.DetectExplainInto(sa, set, buf[:0])
+	return det
 }
 
 // Nearest returns the cluster whose distance to the edge set is
@@ -109,9 +102,11 @@ func (m *Model) DetectExplain(sa canbus.SourceAddress, set linalg.Vector) (Detec
 }
 
 // DetectExplainInto is DetectExplain appending the per-cluster
-// distances to buf, which may be nil. The flight recorder hands in
-// per-frame inline storage here, so explaining a verdict allocates
-// nothing on the replay hot path.
+// distances to buf, which may be nil. It is the one implementation of
+// Algorithm 3's three rules — unknown SA, cluster mismatch, over
+// threshold — that Detect and DetectExplain both run. The flight
+// recorder hands in per-frame inline storage here, so explaining a
+// verdict allocates nothing on the replay hot path.
 func (m *Model) DetectExplainInto(sa canbus.SourceAddress, set linalg.Vector, buf []ClusterDistance) (Detection, Explanation) {
 	expID, ok := m.SALUT[sa]
 	if !ok {
@@ -122,21 +117,20 @@ func (m *Model) DetectExplainInto(sa canbus.SourceAddress, set linalg.Vector, bu
 		buf = make([]ClusterDistance, 0, len(m.Clusters))
 	}
 	ex := Explanation{Distances: buf, Margin: m.Margin}
-	pred := ClusterID(-1)
-	minDist := math.Inf(1)
+	det := Detection{Expected: expID, Predict: -1, MinDist: math.Inf(1)}
 	for _, c := range m.Clusters {
 		d := m.Distance(c, set)
 		ex.Distances = append(ex.Distances, ClusterDistance{ID: c.ID, Dist: d})
-		if d < minDist {
-			pred, minDist = c.ID, d
+		if d < det.MinDist {
+			det.Predict, det.MinDist = c.ID, d
 		}
 	}
 	ex.Threshold = m.Clusters[expID].MaxDist
-	if pred != expID {
-		return Detection{Anomaly: true, Reason: ReasonClusterMismatch, Expected: expID, Predict: pred, MinDist: minDist}, ex
+	switch {
+	case det.Predict != expID:
+		det.Anomaly, det.Reason = true, ReasonClusterMismatch
+	case det.MinDist > ex.Threshold+m.Margin:
+		det.Anomaly, det.Reason = true, ReasonOverThreshold
 	}
-	if minDist > m.Clusters[expID].MaxDist+m.Margin {
-		return Detection{Anomaly: true, Reason: ReasonOverThreshold, Expected: expID, Predict: pred, MinDist: minDist}, ex
-	}
-	return Detection{Expected: expID, Predict: pred, MinDist: minDist}, ex
+	return det, ex
 }

@@ -9,7 +9,9 @@ import (
 	"vprofile/internal/canbus"
 	"vprofile/internal/core"
 	"vprofile/internal/edgeset"
+	"vprofile/internal/linalg"
 	"vprofile/internal/obs"
+	"vprofile/internal/obs/tracing"
 )
 
 // Composite fuses the detector families into the full monitoring stack
@@ -45,9 +47,10 @@ type Composite struct {
 	saAlarms [256]*obs.Counter
 
 	// scratch pools per-goroutine extraction buffers for the concurrent
-	// VoltageVerdict hot path. Safe because core.Detection retains
-	// nothing from the extraction Result; the traced forensic path
-	// (which does retain the edge set) keeps the allocating Extract.
+	// verdict hot path, traced or not. No verdict output aliases them:
+	// core.Detection retains nothing from the extraction Result, and a
+	// traced verdict copies the edge set into its FrameTrace before the
+	// scratch goes back to the pool.
 	scratch sync.Pool
 }
 
@@ -58,13 +61,14 @@ type Composite struct {
 // restarting the monitor.
 //
 // Consistency boundary: the composite calls AcquireModel exactly once
-// per frame, at the top of VoltageVerdict/VoltageVerdictTraced, and
-// scores that entire frame against the returned model. One frame is
-// therefore always judged by a single model version end to end;
-// frames in flight across a swap may score against either version,
-// but never a mix. AcquireModel must be safe for concurrent use and
-// the returned model immutable — swap by replacing the pointer, never
-// by mutating a model a verdict might be reading.
+// per frame, at the top of VoltageVerdictTraced (the verdict body
+// VoltageVerdict shares), and scores that entire frame against the
+// returned model. One frame is therefore always judged by a single
+// model version end to end; frames in flight across a swap may score
+// against either version, but never a mix. AcquireModel must be safe
+// for concurrent use and the returned model immutable — swap by
+// replacing the pointer, never by mutating a model a verdict might be
+// reading.
 type ModelProvider interface {
 	AcquireModel() *core.Model
 }
@@ -221,40 +225,79 @@ func (r CompositeResult) QuarantineChanged() bool { return r.SAState != r.PrevSA
 // The model is acquired from the provider once, up front — the
 // hot-swap consistency boundary documented on ModelProvider.
 func (c *Composite) VoltageVerdict(frame *canbus.ExtendedFrame, tr analog.Trace) (core.Detection, error) {
+	det, _, err := c.VoltageVerdictTraced(frame, tr, nil)
+	return det, err
+}
+
+// VoltageVerdictTraced is the one extract-and-score body. With a nil
+// trace it is VoltageVerdict: no span, no span clock read, zero
+// Forensics. With a trace it opens "ids.extract" and "ids.score" spans
+// and returns the edge set, copied into the trace's own storage, and
+// the per-cluster distances. The Detection and the metrics accounting
+// are identical either way (Detect is DetectExplainInto), so a traced
+// replay reconciles exactly with an untraced one. The FrameTrace must
+// be owned by the calling goroutine.
+func (c *Composite) VoltageVerdictTraced(frame *canbus.ExtendedFrame, tr analog.Trace, ft *tracing.FrameTrace) (core.Detection, Forensics, error) {
 	model := c.models.AcquireModel()
+	m := c.metrics
 	sc, _ := c.scratch.Get().(*edgeset.Scratch)
 	if sc == nil {
 		sc = new(edgeset.Scratch)
 	}
 	defer c.scratch.Put(sc)
-	m := c.metrics
-	if m == nil {
-		res, err := edgeset.ExtractInto(tr, c.extraction, sc)
-		if err != nil {
-			return core.Detection{}, err
+
+	// Extraction begins exactly where the preceding span (the worker's
+	// decode, normally) ended, and scoring begins exactly where
+	// extraction ends — sharing those boundary timestamps keeps the
+	// traced path at one clock read per span instead of two.
+	var sp *tracing.Span
+	if ft != nil {
+		sp = ft.StartSpanAt("ids.extract", ft.LastEnd())
+	}
+	var t0, t1 time.Time
+	if m != nil {
+		t0 = time.Now()
+	}
+	res, err := edgeset.ExtractInto(tr, c.extraction, sc)
+	if m != nil {
+		t1 = time.Now()
+		m.ExtractSeconds.Observe(t1.Sub(t0).Seconds())
+	}
+	if err != nil {
+		sp.SetAttr("error", err.Error()) // span methods no-op when untraced
+		sp.End()
+		if m != nil {
+			m.extractFailed.Inc()
 		}
-		return model.Detect(res.SA, res.Set), nil
+		return core.Detection{}, Forensics{}, err
 	}
 
-	t0 := time.Now()
-	res, err := edgeset.ExtractInto(tr, c.extraction, sc)
-	t1 := time.Now()
-	m.ExtractSeconds.Observe(t1.Sub(t0).Seconds())
-	if err != nil {
-		m.extractFailed.Inc()
-		return core.Detection{}, err
-	}
-	det := model.Detect(res.SA, res.Set)
-	m.ScoreSeconds.Observe(time.Since(t1).Seconds())
-	if det.Predict >= 0 {
-		m.Distance.Observe(det.MinDist)
-	}
-	if det.Anomaly {
-		m.voltageAnomaly.Inc()
+	var det core.Detection
+	var fx Forensics
+	if ft == nil {
+		det = model.Detect(res.SA, res.Set)
 	} else {
-		m.voltageOK.Inc()
+		ts := tracing.Now()
+		sp.SetAttr("sa", SALabel(uint8(res.SA)))
+		sp.EndAt(ts)
+		sp = ft.StartSpanAt("ids.score", ts)
+		det, fx.Explain = model.DetectExplainInto(res.SA, res.Set, ft.DistBuf())
+		fx.EdgeSet = append(linalg.Vector(ft.EdgeSetBuf()), res.Set...)
+		sp.SetAttr("reason", det.Reason.String())
+		sp.End()
 	}
-	return det, nil
+	if m != nil {
+		m.ScoreSeconds.Observe(time.Since(t1).Seconds())
+		if det.Predict >= 0 {
+			m.Distance.Observe(det.MinDist)
+		}
+		if det.Anomaly {
+			m.voltageAnomaly.Inc()
+		} else {
+			m.voltageOK.Inc()
+		}
+	}
+	return det, fx, nil
 }
 
 // Sequence runs the stateful half of the stack — period monitoring

@@ -1,89 +1,19 @@
 package ids
 
 import (
-	"time"
-
-	"vprofile/internal/analog"
-	"vprofile/internal/canbus"
 	"vprofile/internal/core"
-	"vprofile/internal/edgeset"
 	"vprofile/internal/linalg"
-	"vprofile/internal/obs/tracing"
 )
 
 // Forensics is the evidence VoltageVerdictTraced preserves beyond the
 // verdict itself: the extracted edge-set vector and the full distance
-// explanation. Both are owned exclusively by the frame (freshly
-// allocated, or living in the frame's own trace storage) and never
-// touched again by the detector, so the flight recorder may retain
-// them without copying.
+// explanation. Both live in the frame's own trace storage (spilling
+// to the heap only past its capacity) and are never touched again by
+// the detector, so the flight recorder may retain them without
+// copying. An untraced verdict returns zero Forensics.
 type Forensics struct {
 	EdgeSet linalg.Vector
 	Explain core.Explanation
-}
-
-// VoltageVerdictTraced is VoltageVerdict with spans and evidence: it
-// opens "ids.extract" and "ids.score" spans on the frame's trace and
-// returns the edge set and per-cluster distances alongside the
-// verdict. The Detection is bit-for-bit identical to VoltageVerdict's
-// (DetectExplain shares Detect's arithmetic), and metrics accounting
-// — when a Metrics is configured — is identical too, so a traced
-// replay reconciles exactly with an untraced one on every counter.
-//
-// Like VoltageVerdict it touches no mutable state and may run
-// concurrently from many goroutines; the FrameTrace must be owned by
-// the calling goroutine.
-func (c *Composite) VoltageVerdictTraced(frame *canbus.ExtendedFrame, tr analog.Trace, ft *tracing.FrameTrace) (core.Detection, Forensics, error) {
-	// One model acquisition per frame — the same hot-swap consistency
-	// boundary as VoltageVerdict, so traced and untraced replays
-	// straddle a swap identically.
-	model := c.models.AcquireModel()
-	m := c.metrics
-
-	// Extraction begins exactly where the preceding span (the worker's
-	// decode, normally) ended, and scoring begins exactly where
-	// extraction ends — sharing those boundary timestamps keeps the
-	// traced path at one clock read per span instead of two.
-	sp := ft.StartSpanAt("ids.extract", ft.LastEnd())
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
-	res, err := edgeset.Extract(tr, c.extraction)
-	var t1 time.Time
-	if m != nil {
-		t1 = time.Now()
-		m.ExtractSeconds.Observe(t1.Sub(t0).Seconds())
-	}
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		sp.End()
-		if m != nil {
-			m.extractFailed.Inc()
-		}
-		return core.Detection{}, Forensics{}, err
-	}
-	ts := tracing.Now()
-	sp.SetAttr("sa", SALabel(uint8(res.SA)))
-	sp.EndAt(ts)
-
-	sp = ft.StartSpanAt("ids.score", ts)
-	det, ex := model.DetectExplainInto(res.SA, res.Set, ft.DistBuf())
-	if m != nil {
-		m.ScoreSeconds.Observe(time.Since(t1).Seconds())
-		if det.Predict >= 0 {
-			m.Distance.Observe(det.MinDist)
-		}
-		if det.Anomaly {
-			m.voltageAnomaly.Inc()
-		} else {
-			m.voltageOK.Inc()
-		}
-	}
-	sp.SetAttr("reason", det.Reason.String())
-	sp.End()
-
-	return det, Forensics{EdgeSet: res.Set, Explain: ex}, nil
 }
 
 // SequenceState snapshots the stateful half of the stack as it will

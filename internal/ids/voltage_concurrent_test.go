@@ -5,14 +5,19 @@ import (
 	"testing"
 
 	"vprofile/internal/core"
+	"vprofile/internal/ids"
+	"vprofile/internal/linalg"
+	"vprofile/internal/obs/tracing"
 	"vprofile/internal/vehicle"
 )
 
-// TestVoltageVerdictConcurrent hammers VoltageVerdict from many
+// TestVoltageVerdictConcurrent hammers the verdict from many
 // goroutines over the same Composite — the shape the replay pipeline
-// produces — and checks every concurrent verdict is bit-identical to
-// its sequential counterpart. Under -race this also proves the pooled
-// extraction scratch buffers never cross goroutines while in use.
+// produces, with half the goroutines tracing their frames as a
+// flight-recorded replay does — and checks every concurrent verdict,
+// and every traced edge set, is bit-identical to its sequential
+// counterpart. Under -race this also proves the pooled extraction
+// scratch buffers never cross goroutines while in use, traced or not.
 func TestVoltageVerdictConcurrent(t *testing.T) {
 	v := vehicle.NewVehicleB()
 	c := newComposite(t, v, 400)
@@ -28,20 +33,31 @@ func TestVoltageVerdictConcurrent(t *testing.T) {
 
 	want := make([]core.Detection, len(msgs))
 	wantErr := make([]error, len(msgs))
+	wantSet := make([]linalg.Vector, len(msgs))
 	for i, m := range msgs {
-		want[i], wantErr[i] = c.VoltageVerdict(m.Frame, m.Trace)
+		var fx ids.Forensics
+		want[i], fx, wantErr[i] = c.VoltageVerdictTraced(m.Frame, m.Trace, tracing.NewFrameTrace(1))
+		wantSet[i] = fx.EdgeSet
 	}
 
 	const workers = 8
 	got := make([]core.Detection, len(msgs))
 	gotErr := make([]error, len(msgs))
+	gotSet := make([]linalg.Vector, len(msgs))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(msgs); i += workers {
-				got[i], gotErr[i] = c.VoltageVerdict(msgs[i].Frame, msgs[i].Trace)
+				if w%2 == 0 {
+					got[i], gotErr[i] = c.VoltageVerdict(msgs[i].Frame, msgs[i].Trace)
+					continue
+				}
+				ft := tracing.NewFrameTrace(tracing.TraceID(i) + 1)
+				var fx ids.Forensics
+				got[i], fx, gotErr[i] = c.VoltageVerdictTraced(msgs[i].Frame, msgs[i].Trace, ft)
+				gotSet[i] = fx.EdgeSet
 			}
 		}(w)
 	}
@@ -53,6 +69,9 @@ func TestVoltageVerdictConcurrent(t *testing.T) {
 		}
 		if got[i] != want[i] {
 			t.Fatalf("msg %d: concurrent verdict %+v, sequential %+v", i, got[i], want[i])
+		}
+		if (i%workers)%2 == 1 && !sameBits(gotSet[i], wantSet[i]) {
+			t.Fatalf("msg %d: concurrent traced edge set differs from the sequential one", i)
 		}
 	}
 }

@@ -158,13 +158,14 @@ type FrameTrace struct {
 	Spans []*Span `json:"spans"`
 
 	// Inline storage: the pipeline opens five spans per frame, so the
-	// span records, the Spans slice, the per-cluster distance buffer
-	// and the frame's decision record all live inside the FrameTrace
-	// itself — one allocation per frame, not one per span. StartSpan
-	// and DistBuf spill to the heap only past the arena's capacity.
+	// span records, the Spans slice, the per-cluster distances, the edge
+	// set (64 samples: vehicle A's, at 20 MS/s) and the decision record
+	// all live inside the FrameTrace — one allocation per frame. The
+	// buffers spill to the heap only past the arena's capacity.
 	arena     [5]Span
 	spanStore [5]*Span
 	distStore [12]ClusterDistance
+	edgeStore [64]float64
 	dec       Decision
 }
 
@@ -190,6 +191,16 @@ func (ft *FrameTrace) DistBuf() []ClusterDistance {
 		return nil
 	}
 	return ft.distStore[:0:len(ft.distStore)]
+}
+
+// EdgeSetBuf returns the trace's inline edge-set buffer (length
+// zero), for the verdict to copy the frame's edge set out of the
+// pooled extraction scratch into. Safe on a nil trace, like DistBuf.
+func (ft *FrameTrace) EdgeSetBuf() []float64 {
+	if ft == nil {
+		return nil
+	}
+	return ft.edgeStore[:0:len(ft.edgeStore)]
 }
 
 // StartSpan opens a named span; the caller ends it with End. Safe on
@@ -219,16 +230,6 @@ func (ft *FrameTrace) StartSpanAt(name string, ns int64) *Span {
 	s.Attrs = s.attrStore[:0:len(s.attrStore)]
 	ft.Spans = append(ft.Spans, s)
 	return s
-}
-
-// LastStart returns the start timestamp of the most recently opened
-// span — for a sub-span that begins exactly where its parent did — or
-// a fresh clock reading on an empty or nil trace.
-func (ft *FrameTrace) LastStart() int64 {
-	if ft == nil || len(ft.Spans) == 0 {
-		return nanotime()
-	}
-	return ft.Spans[len(ft.Spans)-1].StartNS
 }
 
 // LastEnd returns the end timestamp of the most recently opened span

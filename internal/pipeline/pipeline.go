@@ -10,7 +10,8 @@
 //     stream decoding is the one inherently serial stage;
 //  2. a worker pool fans out the stateless hot path — sample
 //     decoding, edge-set extraction and vProfile scoring
-//     (Composite.VoltageVerdict) — across GOMAXPROCS goroutines;
+//     (Composite.VoltageVerdictTraced, with a nil trace on an
+//     untraced replay) — across GOMAXPROCS goroutines;
 //  3. a reordering stage re-sequences results by record index and
 //     runs the stateful detectors (period monitor, transport
 //     reassembly) in arrival order via Composite.Sequence.
@@ -291,11 +292,7 @@ func (p *Replayer) processBatch(jobs []job, out chan<- []scored, abandon <-chan 
 		}
 		sb = append(sb, scored{job: j, frame: canbus.ExtendedFrame{ID: j.rec.FrameID, Data: j.rec.Data}})
 		s := &sb[len(sb)-1]
-		if j.ft != nil {
-			s.det, s.forensics, s.extractErr = p.mon.VoltageVerdictTraced(&s.frame, j.rec.Trace, j.ft)
-		} else {
-			s.det, s.extractErr = p.mon.VoltageVerdict(&s.frame, j.rec.Trace)
-		}
+		s.det, s.forensics, s.extractErr = p.mon.VoltageVerdictTraced(&s.frame, j.rec.Trace, j.ft)
 		if s.extractErr != nil {
 			p.extractFailures.Add(1)
 			if m != nil {
