@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 45s
 
-.PHONY: build test vet race perfbench check lint fuzz bench-replay bench bench-gate bench-go arena arena-gate daemon-smoke
+.PHONY: build test vet race perfbench check lint fuzz bench bench-gate bench-go arena arena-gate daemon-smoke
 
 build:
 	$(GO) build ./...
@@ -45,12 +45,6 @@ fuzz:
 	$(GO) test -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/control
 	$(GO) test -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz '^FuzzDecodeBody$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/control/controlserver
-
-# bench-replay compares sequential replay against the concurrent
-# pipeline at 1/2/4/8 workers (plus instrumented variants) on a
-# 10k-record capture.
-bench-replay:
-	$(GO) test -bench Replay -benchmem -run '^$$' .
 
 # bench writes the replay benchmark ablation table — sequential vs
 # 1/2/4/8 workers on the engine path, each optional layer (metrics,

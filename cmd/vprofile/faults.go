@@ -244,7 +244,7 @@ func faultsStep(v *vehicle.Vehicle, model *core.Model, extraction edgeset.Config
 	pt := faultsPoint{Intensity: k, Spec: spec.String()}
 	_, err = pipeline.Replay(src, mon, rcfg, func(res pipeline.Result) error {
 		r := res.Verdict
-		suspicious := r.ExtractErr != nil || r.Voltage.Anomaly
+		suspicious := r.Flagged().Has(obs.AlarmAnalog)
 		if r.ExtractErr != nil {
 			pt.ExtractFails++
 		}

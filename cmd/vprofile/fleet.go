@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"vprofile/internal/engine"
+	"vprofile/internal/obs"
 	"vprofile/internal/obs/incident"
 )
 
@@ -37,7 +38,7 @@ func cmdFleet(args []string) error {
 	if *verbose {
 		sink = func(res engine.Result) error {
 			r := res.Result
-			if d := r.Verdict.Voltage; r.Verdict.ExtractErr == nil && d.Anomaly {
+			if d := r.Verdict.Voltage; r.Verdict.Flagged().Has(obs.AlarmVoltage) {
 				fmt.Printf("[%s] message %6d: SA %#02x flagged (%s, dist %.2f)\n",
 					res.Bus, r.Index, uint8(r.Frame.SA()), d.Reason, d.MinDist)
 			}

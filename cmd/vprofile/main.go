@@ -32,6 +32,7 @@ import (
 	"vprofile/internal/core"
 	"vprofile/internal/edgeset"
 	"vprofile/internal/engine"
+	"vprofile/internal/obs"
 	"vprofile/internal/trace"
 )
 
@@ -185,14 +186,14 @@ func cmdDetect(args []string) error {
 	// the capture streams instead of loading into memory and the hot
 	// path fans out across the worker pool. The session tallies every
 	// verdict and writes its events; the sink only breaks the voltage
-	// alarms down by reason.
-	reasons := map[core.Reason]int{}
+	// alarms down by reason, printed in core.Reason order.
+	var reasons [core.ReasonOverThreshold + 1]int
 	sum, err := s.Run(func(res engine.Result) error {
 		r := res.Result
 		if board != nil {
 			board.Observe(r.Index, r.Verdict)
 		}
-		if d := r.Verdict.Voltage; r.Verdict.ExtractErr == nil && d.Anomaly {
+		if d := r.Verdict.Voltage; r.Verdict.Flagged().Has(obs.AlarmVoltage) {
 			reasons[d.Reason]++
 			if *verbose {
 				fmt.Printf("message %6d: SA %#02x flagged (%s, dist %.2f, predicted cluster %d)\n",
@@ -216,7 +217,9 @@ func cmdDetect(args []string) error {
 	fmt.Printf("classified %d messages: %d flagged (%.4f%%) in %.2fs with %d workers\n",
 		classified, t.VoltAlarms, pct, sum.Stats.WallTime.Seconds(), sum.Stats.Workers)
 	for r, n := range reasons {
-		fmt.Printf("  %-18s %d\n", r.String()+":", n)
+		if n > 0 {
+			fmt.Printf("  %-18s %d\n", core.Reason(r).String()+":", n)
+		}
 	}
 	if t.PreprocFailed > 0 {
 		fmt.Printf("preprocess failures: %d\n", t.PreprocFailed)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"vprofile/internal/ids"
 	"vprofile/internal/obs"
 	"vprofile/internal/obs/incident"
 	"vprofile/internal/pipeline"
@@ -45,15 +44,9 @@ func bindIncidents(inc *incident.Correlator, bus string, reg *obs.Registry) *inc
 // correlator's evidence shape. Pure projection — reading it cannot
 // perturb the verdict stream.
 func incidentEvidence(r pipeline.Result) incident.Evidence {
-	v := r.Verdict
 	return incident.Evidence{
-		SA:         uint8(r.Frame.SA()),
-		T:          r.Record.TimeSec,
-		Voltage:    v.ExtractErr == nil && v.Voltage.Anomaly,
-		Preprocess: v.ExtractErr != nil,
-		Timing:     v.Timing == ids.PeriodTooEarly,
-		Transport:  v.TransferErr != nil,
-		Suppressed: v.Suppressed,
+		SA: uint8(r.Frame.SA()), T: r.Record.TimeSec,
+		Flagged: r.Verdict.Flagged(), Suppressed: r.Verdict.Suppressed,
 	}
 }
 

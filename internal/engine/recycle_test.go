@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"vprofile/internal/engine"
@@ -38,40 +39,47 @@ const maxSteadyAllocsPerFrame = 1
 // the daemon hot path: after one warm-up session has filled the shared
 // buffer pools, a second session over a StreamSource must stay under
 // maxSteadyAllocsPerFrame, counted from the sink across everything the
-// process allocates between two points mid-stream.
+// process allocates mid-stream. The count is the median over several
+// consecutive windows: a GC that lands in one window empties the
+// pools and inflates that window alone.
 func TestSessionSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime drops sync.Pool puts at random")
 	}
 	m := sharedModel(t)
 	data := buildCapture(t, 301, 1500, 50)
-	const from, to = 500, 1400
+	const from, to, windows = 500, 1400, 5
+	const width = (to - from) / windows
 
-	run := func(measure bool) float64 {
+	run := func(measure bool) []float64 {
 		tally := engine.NewTally()
-		var before, after runtime.MemStats
+		var marks [windows + 1]runtime.MemStats
 		sess := streamSession(t, data, engine.WithModel(m), engine.WithWorkers(2))
 		_, err := sess.Run(func(res engine.Result) error {
 			tally.Observe(res.Result)
-			if measure && res.Index == from {
-				runtime.ReadMemStats(&before)
-			}
-			if measure && res.Index == to {
-				runtime.ReadMemStats(&after)
+			if i := res.Index - from; measure && i >= 0 && i%width == 0 && i/width <= windows {
+				runtime.ReadMemStats(&marks[i/width])
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(after.Mallocs-before.Mallocs) / float64(to-from)
+		perFrame := make([]float64, windows)
+		for w := range perFrame {
+			perFrame[w] = float64(marks[w+1].Mallocs-marks[w].Mallocs) / width
+		}
+		return perFrame
 	}
 	run(false)
-	got := run(true)
+	perWindow := run(true)
+	sorted := slices.Clone(perWindow)
+	slices.Sort(sorted)
+	got := sorted[windows/2]
 	if got > maxSteadyAllocsPerFrame {
-		t.Fatalf("stream session allocates %.2f times per frame in steady state, want <= %d", got, maxSteadyAllocsPerFrame)
+		t.Fatalf("stream session allocates %.2f times per frame in steady state (median of windows %.2f), want <= %d", got, perWindow, maxSteadyAllocsPerFrame)
 	}
-	t.Logf("%.2f allocs/frame in steady state", got)
+	t.Logf("%.2f allocs/frame in steady state (median of windows %.2f)", got, perWindow)
 }
 
 // recordSum checksums (FNV-1a over whole values) the parts of a

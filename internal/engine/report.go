@@ -9,7 +9,6 @@ import (
 	"vprofile/internal/ids"
 	"vprofile/internal/obs"
 	"vprofile/internal/obs/drift"
-	"vprofile/internal/obs/tracing"
 	"vprofile/internal/pipeline"
 )
 
@@ -78,79 +77,50 @@ func (t *Tally) Observe(res pipeline.Result) []obs.Event {
 	c.frames++
 	c.lastSeen = rec.TimeSec
 
-	traceID := ""
-	if res.Trace != nil {
-		traceID = res.Trace.ID.String()
-	}
-	var events []obs.Event
+	flagged, raised := r.Flagged(), r.Raised()
 	switch {
-	case r.ExtractErr != nil:
-		// The voltage verdict is the zero value here — reporting it
-		// would claim "ok, dist 0.00" for a frame that never made it
-		// through preprocessing. Report the real failure.
+	case flagged.Has(obs.AlarmPreprocess):
 		t.PreprocFailed++
 		c.voltAlarms++
-		if r.Suppressed {
-			// The sender is quarantined: count the evidence, skip the
-			// per-frame event — that's the alarm spam quarantine exists
-			// to coalesce.
-			t.Suppressed++
-			c.suppressed++
-		} else {
-			events = append(events, obs.Event{
-				TimeSec: rec.TimeSec, Kind: obs.EventPreprocess,
-				Severity: tracing.SeverityFor(obs.EventPreprocess), Trace: traceID,
-				SA: obs.U8(sa), FrameID: obs.U32(rec.FrameID),
-				Detail: r.ExtractErr.Error(),
-			})
-		}
-	case r.Voltage.Anomaly:
+	case flagged.Has(obs.AlarmVoltage):
 		t.VoltAlarms++
 		c.voltAlarms++
-		if r.Suppressed {
-			t.Suppressed++
-			c.suppressed++
-		} else {
-			events = append(events, VoltageEvent(res))
-		}
+	}
+	if r.Suppressed {
+		// Counted, but Raised leaves out the per-frame alarm spam.
+		t.Suppressed++
+		c.suppressed++
 	}
 	c.state = r.SAState
 	if r.SAState != ids.SAHealthy || r.QuarantineChanged() {
 		t.Quarantined = true
 	}
-	if r.QuarantineChanged() {
-		sev := obs.SeverityInfo
-		if r.SAState == ids.SADegraded {
-			sev = tracing.SeverityFor(obs.EventQuarantine)
-		}
-		events = append(events, obs.Event{
-			TimeSec: rec.TimeSec, Kind: obs.EventQuarantine,
-			Severity: sev, Trace: traceID,
-			SA: obs.U8(sa), FrameID: obs.U32(rec.FrameID),
-			Detail: fmt.Sprintf("%s->%s", r.PrevSAState, r.SAState),
-		})
-	}
-	if r.Timing == ids.PeriodTooEarly {
+	if flagged.Has(obs.AlarmTiming) {
 		t.PeriodAlarms++
 		c.timeAlarms++
-		events = append(events, obs.Event{
-			TimeSec: rec.TimeSec, Kind: obs.EventTiming,
-			Severity: tracing.SeverityFor(obs.EventTiming), Trace: traceID,
-			SA: obs.U8(sa), FrameID: obs.U32(rec.FrameID),
-		})
 	}
 	if r.TimingErr != nil {
 		t.TimingFaults++
 	}
-	if r.TransferErr != nil {
+	if flagged.Has(obs.AlarmTransport) {
 		t.TPErrors++
 		c.tpAlarms++
-		events = append(events, obs.Event{
-			TimeSec: rec.TimeSec, Kind: obs.EventTransport,
-			Severity: tracing.SeverityFor(obs.EventTransport), Trace: traceID,
-			SA: obs.U8(sa), FrameID: obs.U32(rec.FrameID),
-			Detail: r.TransferErr.Error(),
-		})
+	}
+
+	// One event per raised alarm, plus an info-level quarantine event
+	// for every transition that raised none (into Suspect, or a
+	// recovery), in the set's emission order.
+	emit := raised
+	if r.QuarantineChanged() {
+		emit |= obs.AlarmQuarantine
+	}
+	var events []obs.Event
+	for a, rest := emit.Next(); a != 0; a, rest = rest.Next() {
+		ev := alarmEvent(res, a)
+		if !raised.Has(a) {
+			ev.Severity = obs.SeverityInfo
+		}
+		events = append(events, ev)
 	}
 	if r.Transfer != nil {
 		t.TPTransfers++
@@ -159,7 +129,7 @@ func (t *Tally) Observe(res pipeline.Result) []obs.Event {
 				t.DM1Reports++
 				events = append(events, obs.Event{
 					TimeSec: rec.TimeSec, Kind: obs.EventDM1,
-					Severity: obs.SeverityInfo, Trace: traceID,
+					Severity: obs.SeverityInfo, Trace: traceID(res),
 					SA: obs.U8(uint8(r.Transfer.SA)), FrameID: obs.U32(rec.FrameID),
 					PGN: uint32(r.Transfer.PGN), DTCs: len(dtcs),
 					Detail: fmt.Sprintf("lamps=%+v", lamps),
@@ -171,19 +141,38 @@ func (t *Tally) Observe(res pipeline.Result) []obs.Event {
 }
 
 // VoltageEvent renders one voltage verdict as its structured event,
-// the shape the tally emits for every unsuppressed voltage alarm.
-func VoltageEvent(res pipeline.Result) obs.Event {
-	d := res.Verdict.Voltage
-	traceID := ""
-	if res.Trace != nil {
-		traceID = res.Trace.ID.String()
-	}
-	return obs.Event{
-		TimeSec: res.Record.TimeSec, Kind: obs.EventVoltage,
-		Severity: tracing.SeverityFor(obs.EventVoltage), Trace: traceID,
+// the shape the tally emits for every raised voltage alarm.
+func VoltageEvent(res pipeline.Result) obs.Event { return alarmEvent(res, obs.AlarmVoltage) }
+
+// alarmEvent renders one alarm kind of a verdict as its structured
+// event. A preprocess failure reports the real failure, not the zero
+// voltage verdict ("ok, dist 0.00") of a frame never preprocessed.
+func alarmEvent(res pipeline.Result, a obs.AlarmSet) obs.Event {
+	r := res.Verdict
+	ev := obs.Event{
+		TimeSec: res.Record.TimeSec, Kind: a.Kind(), Severity: a.Severity(), Trace: traceID(res),
 		SA: obs.U8(uint8(res.Frame.SA())), FrameID: obs.U32(res.Record.FrameID),
-		Reason: d.Reason.String(), Dist: d.MinDist, Predict: int(d.Predict),
 	}
+	switch a {
+	case obs.AlarmVoltage:
+		d := r.Voltage
+		ev.Reason, ev.Dist, ev.Predict = d.Reason.String(), d.MinDist, int(d.Predict)
+	case obs.AlarmPreprocess:
+		ev.Detail = r.ExtractErr.Error()
+	case obs.AlarmQuarantine:
+		ev.Detail = fmt.Sprintf("%s->%s", r.PrevSAState, r.SAState)
+	case obs.AlarmTransport:
+		ev.Detail = r.TransferErr.Error()
+	}
+	return ev
+}
+
+// traceID is the frame's trace id on a traced replay, "" otherwise.
+func traceID(res pipeline.Result) string {
+	if res.Trace == nil {
+		return ""
+	}
+	return res.Trace.ID.String()
 }
 
 // SetDrift folds an end-of-run drift snapshot into the table. Each SA

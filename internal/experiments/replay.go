@@ -12,9 +12,8 @@ import (
 // Vehicle B capture of records frames (diagnostic traffic included)
 // encoded as a VPTR byte stream, and a Mahalanobis model trained on
 // 1500 frames whose margin is 1.5× the accuracy-optimal margin on 800
-// validation frames, so the capture replays without alarms. The
-// replay benchmarks and cmd/replaybench share it, so their figures
-// describe the same workload.
+// validation frames, so the capture replays without alarms. Every row
+// of cmd/replaybench's ablation table replays it.
 func ReplayFixture(records int) ([]byte, *core.Model, *vehicle.Vehicle, error) {
 	v := vehicle.NewVehicleB()
 	train, err := CollectSamples(v, 1500, 7, nil, v.ExtractionConfig())

@@ -183,32 +183,48 @@ type CompositeResult struct {
 	Suppressed  bool
 }
 
-// Anomalous reports whether any detector family flagged the message.
-// A TransferErr counts: a malformed transport frame is exactly the
-// kind of protocol corruption an injected or fuzzing attacker
-// produces. A TimingErr does not — it means the monitor abstained,
-// not that the message misbehaved.
-func (r CompositeResult) Anomalous() bool {
-	return r.ExtractErr != nil || r.Voltage.Anomaly || r.Timing == PeriodTooEarly || r.TransferErr != nil
-}
-
-// voltageSuspicious is the per-SA analog evidence quarantine scores:
-// a vProfile anomaly, or a trace too mangled to preprocess.
-func (r CompositeResult) voltageSuspicious() bool {
-	return r.ExtractErr != nil || r.Voltage.Anomaly
-}
-
-// Alarm reports whether this verdict should raise an alarm, after
-// quarantine coalescing: a Suppressed result's voltage evidence is
-// folded into its sender's Degraded state, but timing and transport
-// anomalies (bus-level, not per-sender-analog) still fire. With
-// quarantine disabled, Alarm equals Anomalous.
-func (r CompositeResult) Alarm() bool {
-	if r.Suppressed {
-		return r.Timing == PeriodTooEarly || r.TransferErr != nil
+// Flagged is the set of detector families that fired on this message,
+// before quarantine coalescing. A malformed transport frame counts; a
+// TimingErr does not (the monitor abstained, the message is innocent).
+func (r CompositeResult) Flagged() obs.AlarmSet {
+	var s obs.AlarmSet
+	switch {
+	case r.ExtractErr != nil:
+		s = obs.AlarmPreprocess
+	case r.Voltage.Anomaly:
+		s = obs.AlarmVoltage
 	}
-	return r.Anomalous()
+	if r.Timing == PeriodTooEarly {
+		s |= obs.AlarmTiming
+	}
+	if r.TransferErr != nil {
+		s |= obs.AlarmTransport
+	}
+	return s
 }
+
+// Raised is what an operator is alarmed with: Flagged minus the analog
+// evidence of a Suppressed verdict (folded into its sender's Degraded
+// state), plus quarantine when this verdict moved its sender into
+// Degraded. With quarantine disabled Raised equals Flagged.
+func (r CompositeResult) Raised() obs.AlarmSet {
+	s := r.Flagged()
+	if r.Suppressed {
+		s &^= obs.AlarmAnalog
+	}
+	if r.QuarantineChanged() && r.SAState == SADegraded {
+		s |= obs.AlarmQuarantine
+	}
+	return s
+}
+
+// Anomalous reports whether any detector family flagged the message.
+func (r CompositeResult) Anomalous() bool { return r.Flagged() != 0 }
+
+// Alarm reports whether a detector alarm was raised for this message
+// after quarantine coalescing. With quarantine disabled it equals
+// Anomalous.
+func (r CompositeResult) Alarm() bool { return r.Raised()&^obs.AlarmQuarantine != 0 }
 
 // QuarantineChanged reports whether this verdict moved its sender's
 // quarantine state.
@@ -334,7 +350,7 @@ func (c *Composite) Sequence(frame *canbus.ExtendedFrame, at float64, voltage co
 	out.Transfer, out.TransferErr = c.reasm.Feed(frame)
 
 	if c.quar != nil {
-		prev, cur, suppressed := c.quar.observe(uint8(frame.SA()), out.voltageSuspicious(), at)
+		prev, cur, suppressed := c.quar.observe(uint8(frame.SA()), out.Flagged().Has(obs.AlarmAnalog), at)
 		out.PrevSAState, out.SAState, out.Suppressed = prev, cur, suppressed
 		if m := c.metrics; m != nil {
 			if suppressed {

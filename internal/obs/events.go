@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -59,6 +61,70 @@ const (
 	SeverityWarning  = "warning"
 	SeverityCritical = "critical"
 )
+
+// AlarmSet is a set of alarm kinds, one bit per detector family plus
+// the quarantine transition, which ids.CompositeResult's Flagged and
+// Raised fill. Next yields the kinds in a frame's event order.
+type AlarmSet uint8
+
+const (
+	AlarmVoltage AlarmSet = 1 << iota
+	AlarmPreprocess
+	AlarmQuarantine // a sender moved into Degraded
+	AlarmTiming
+	AlarmTransport
+
+	// AlarmAnalog is the evidence quarantine scores and coalesces.
+	AlarmAnalog = AlarmVoltage | AlarmPreprocess
+)
+
+// alarmKinds names each bit by its event kind, in bit order.
+var alarmKinds = [...]string{EventVoltage, EventPreprocess, EventQuarantine, EventTiming, EventTransport}
+
+// alarmCritical are the kinds that page. The others, timing drift and
+// garbled traces, are warnings: they can be bus faults as easily.
+const alarmCritical = AlarmVoltage | AlarmQuarantine | AlarmTransport
+
+// Has reports whether s contains any of a's kinds.
+func (s AlarmSet) Has(a AlarmSet) bool { return s&a != 0 }
+
+// Next splits off s's first kind: iterate a set with
+//
+//	for a, rest := s.Next(); a != 0; a, rest = rest.Next() { ... }
+func (s AlarmSet) Next() (a, rest AlarmSet) { return s & -s, s & (s - 1) }
+
+// Kind names a single-kind set by its event kind.
+func (a AlarmSet) Kind() string { return alarmKinds[bits.TrailingZeros8(uint8(a))] }
+
+// Kinds lists the set's event kinds in order (nil when empty).
+func (s AlarmSet) Kinds() (kinds []string) {
+	for a, rest := s.Next(); a != 0; a, rest = rest.Next() {
+		kinds = append(kinds, a.Kind())
+	}
+	return kinds
+}
+
+// Severity is the highest severity of the set's kinds, SeverityInfo
+// for the empty set.
+func (s AlarmSet) Severity() string {
+	switch {
+	case s&alarmCritical != 0:
+		return SeverityCritical
+	case s != 0:
+		return SeverityWarning
+	}
+	return SeverityInfo
+}
+
+// AlarmsOf parses event kinds into a set, ignoring non-alarm kinds.
+func AlarmsOf(kinds []string) (s AlarmSet) {
+	for _, k := range kinds {
+		if i := slices.Index(alarmKinds[:], k); i >= 0 {
+			s |= 1 << i
+		}
+	}
+	return s
+}
 
 // Event is one structured record of the JSONL event log.
 type Event struct {

@@ -12,44 +12,19 @@ import (
 )
 
 // Evidence is one frame's alarm-side verdict, the unit a bus stream
-// feeds the correlator. Clean frames (no flag set) only advance the
-// bus's frame count and the sweep clock — the cheap path a healthy
+// feeds the correlator. Clean frames (no kind flagged) only advance
+// the bus's frame count and the sweep clock — the cheap path a healthy
 // fleet stays on.
 type Evidence struct {
 	SA uint8
 	T  float64 // capture-relative seconds
-	// Alarm families, mirroring the composite verdict: a voltage
-	// anomaly, a preprocessing failure, an early arrival, a malformed
-	// transport frame.
-	Voltage    bool
-	Preprocess bool
-	Timing     bool
-	Transport  bool
+	// Flagged is the set of detector families that fired on the frame,
+	// before quarantine coalescing (ids.CompositeResult.Flagged).
+	Flagged obs.AlarmSet
 	// Suppressed marks voltage evidence coalesced by quarantine — it
 	// still feeds the incident (the condition persists) but is
 	// accounted separately.
 	Suppressed bool
-}
-
-func (e Evidence) alarm() bool {
-	return e.Voltage || e.Preprocess || e.Timing || e.Transport
-}
-
-func (e Evidence) kinds() []string {
-	var out []string
-	if e.Voltage {
-		out = append(out, obs.EventVoltage)
-	}
-	if e.Preprocess {
-		out = append(out, obs.EventPreprocess)
-	}
-	if e.Timing {
-		out = append(out, obs.EventTiming)
-	}
-	if e.Transport {
-		out = append(out, obs.EventTransport)
-	}
-	return out
 }
 
 // maxBundleRefs bounds the flight-bundle references retained per bus
@@ -153,7 +128,7 @@ func (b *BusStream) BindCorruptionCounter(ctr *obs.Counter) {
 func (b *BusStream) Observe(ev Evidence) {
 	b.frames.Add(1)
 	b.lastT.Store(math.Float64bits(ev.T))
-	if ev.alarm() {
+	if ev.Flagged != 0 {
 		b.c.observeAlarm(b, ev)
 		return
 	}
@@ -316,7 +291,7 @@ func (c *Correlator) observeAlarm(b *BusStream, ev Evidence) {
 	half := c.cfg.HalfLifeSec
 	b.alarms.add(ev.T, half)
 	b.totalAlarms++
-	if ev.Preprocess {
+	if ev.Flagged.Has(obs.AlarmPreprocess) {
 		b.extracts.add(ev.T, half)
 	}
 	c.topk.update(b.name, b.alarms)
@@ -421,8 +396,8 @@ func (c *Correlator) addEvidence(in *Incident, bus string, ev Evidence) {
 		in.Suppressed++
 	}
 	e.LastAt = ev.T
-	for _, k := range ev.kinds() {
-		e.Kinds[k]++
+	for a, rest := ev.Flagged.Next(); a != 0; a, rest = rest.Next() {
+		e.Kinds[a.Kind()]++
 	}
 	if ev.T > in.LastEvidence {
 		in.LastEvidence = ev.T

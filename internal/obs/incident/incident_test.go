@@ -16,7 +16,7 @@ import (
 
 // alarm builds a voltage-alarm evidence at time t for sa.
 func alarm(sa uint8, t float64) incident.Evidence {
-	return incident.Evidence{SA: sa, T: t, Voltage: true}
+	return incident.Evidence{SA: sa, T: t, Flagged: obs.AlarmVoltage}
 }
 
 func clean(sa uint8, t float64) incident.Evidence {

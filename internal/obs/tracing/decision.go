@@ -5,9 +5,9 @@ import (
 	"vprofile/internal/obs"
 )
 
-// Alarm kinds a decision can carry — one per detector family, named
-// identically to the event-log kinds so bundle records and event
-// lines join on the same vocabulary.
+// Alarm kinds a decision can carry, named identically to the
+// event-log kinds so bundle records and event lines join on the same
+// vocabulary (obs.AlarmSet.Kinds spells a set in them).
 const (
 	AlarmVoltage    = obs.EventVoltage
 	AlarmPreprocess = obs.EventPreprocess
@@ -15,35 +15,6 @@ const (
 	AlarmTransport  = obs.EventTransport
 	AlarmQuarantine = obs.EventQuarantine
 )
-
-// SeverityFor maps an alarm kind to its event severity: sender
-// forgery and protocol corruption are critical, timing drift and
-// garbled traces are warnings (they can be bus faults as easily as
-// attacks).
-func SeverityFor(kind string) string {
-	switch kind {
-	case AlarmVoltage, AlarmTransport, AlarmQuarantine:
-		return obs.SeverityCritical
-	case AlarmPreprocess, AlarmTiming:
-		return obs.SeverityWarning
-	default:
-		return obs.SeverityInfo
-	}
-}
-
-// severityForAll is the max severity across a decision's alarms.
-func severityForAll(alarms []string) string {
-	out := obs.SeverityInfo
-	for _, a := range alarms {
-		switch SeverityFor(a) {
-		case obs.SeverityCritical:
-			return obs.SeverityCritical
-		case obs.SeverityWarning:
-			out = obs.SeverityWarning
-		}
-	}
-	return out
-}
 
 // ClusterDistance is one cluster's distance to the frame's edge set.
 // It aliases the detector's own explanation type so the slice
@@ -89,8 +60,8 @@ type Decision struct {
 	Data     HexBytes `json:"data,omitempty"` // payload bytes, hex in JSON
 	ECUIndex int32    `json:"ecu_index"`
 
-	// Verdict summary. Alarms lists the detector families that fired
-	// (Alarm* kinds); empty means the frame passed everything.
+	// Verdict summary. Alarms lists the alarms raised for the frame
+	// (Alarm* kinds, the verdict's Raised set); empty means no alarm.
 	Anomaly  bool     `json:"anomaly"`
 	Alarms   []string `json:"alarms,omitempty"`
 	Severity string   `json:"severity,omitempty"`
@@ -134,6 +105,6 @@ type Decision struct {
 func (d *Decision) seal() {
 	d.Anomaly = len(d.Alarms) > 0
 	if d.Anomaly {
-		d.Severity = severityForAll(d.Alarms)
+		d.Severity = obs.AlarmsOf(d.Alarms).Severity()
 	}
 }

@@ -2,7 +2,6 @@ package tracing
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -367,7 +366,7 @@ func TestSpansNilSafe(t *testing.T) {
 	if got.Duration() < 0 {
 		t.Fatalf("negative duration %v", got.Duration())
 	}
-	if fmt.Sprint(SeverityFor(AlarmVoltage)) != obs.SeverityCritical {
+	if obs.AlarmsOf([]string{AlarmVoltage}).Severity() != obs.SeverityCritical {
 		t.Fatal("voltage severity mapping broken")
 	}
 }

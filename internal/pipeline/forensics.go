@@ -29,15 +29,11 @@ func buildDecision(idx int, cur *scored, verdict ids.CompositeResult, state ids.
 		Samples:  append([]float64(nil), cur.rec.Trace...),
 	}
 
+	// A Suppressed verdict keeps its evidence but raises no alarm, so
+	// the flight recorder does not freeze a bundle per spammed frame.
+	d.Alarms = verdict.Raised().Kinds()
 	if verdict.ExtractErr != nil {
 		d.ExtractErr = verdict.ExtractErr.Error()
-		// A Suppressed verdict's voltage evidence is coalesced into the
-		// sender's Degraded quarantine state: the record keeps the
-		// evidence, but no alarm fires (so the flight recorder does not
-		// freeze a bundle per spammed frame).
-		if !verdict.Suppressed {
-			d.Alarms = append(d.Alarms, tracing.AlarmPreprocess)
-		}
 		d.Expected, d.Predicted = -1, -1
 	} else {
 		v := verdict.Voltage
@@ -52,30 +48,18 @@ func buildDecision(idx int, cur *scored, verdict ids.CompositeResult, state ids.
 		// The distance slice lives in this frame's own trace storage and
 		// the detector never touches it again, so the record owns it.
 		d.Distances = ex.Distances
-		if v.Anomaly && !verdict.Suppressed {
-			d.Alarms = append(d.Alarms, tracing.AlarmVoltage)
-		}
 	}
 	if verdict.SAState != ids.SAHealthy {
 		d.Quarantine = verdict.SAState.String()
 	}
 	d.Suppressed = verdict.Suppressed
-	if verdict.QuarantineChanged() && verdict.SAState == ids.SADegraded {
-		// The transition itself is the coalesced alarm: one bundle marks
-		// the moment a sender degraded.
-		d.Alarms = append(d.Alarms, tracing.AlarmQuarantine)
-	}
 
 	d.Timing = verdict.Timing.String()
 	if verdict.TimingErr != nil {
 		d.TimingErr = verdict.TimingErr.Error()
 	}
-	if verdict.Timing == ids.PeriodTooEarly {
-		d.Alarms = append(d.Alarms, tracing.AlarmTiming)
-	}
 	if verdict.TransferErr != nil {
 		d.TransferErr = verdict.TransferErr.Error()
-		d.Alarms = append(d.Alarms, tracing.AlarmTransport)
 	}
 
 	d.Detector = tracing.DetectorState{
