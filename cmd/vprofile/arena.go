@@ -237,6 +237,7 @@ func arenaComposite(v *vehicle.Vehicle, model *core.Model, cfg edgeset.Config, s
 	if err != nil {
 		return arenaRow{}, err
 	}
+	defer src.Release()
 	row := arenaRow{Detector: "composite", Scenario: scenario}
 	var cm stats.ConfusionMatrix
 	st, err := pipeline.Replay(src, mon, pipeline.Config{Workers: workers}, func(res pipeline.Result) error {

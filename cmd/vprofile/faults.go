@@ -240,6 +240,7 @@ func faultsStep(v *vehicle.Vehicle, model *core.Model, extraction edgeset.Config
 	if err != nil {
 		return faultsPoint{}, err
 	}
+	defer src.Release()
 
 	pt := faultsPoint{Intensity: k, Spec: spec.String()}
 	_, err = pipeline.Replay(src, mon, rcfg, func(res pipeline.Result) error {

@@ -1,6 +1,7 @@
 package controlserver
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -19,17 +20,24 @@ type eventHub struct {
 	mu   sync.Mutex
 	ring []controlapi.EventRecord // event seq lives at ring[seq % len(ring)]
 	next uint64                   // sequence number of the next event published
-	wake chan struct{}
+	// parked holds the wake channel of every poller waiting for the
+	// next Publish.
+	parked []chan struct{}
 }
+
+// A parked poller waits on a one-slot wake channel and a timer, both
+// pooled so a long poll that waits allocates nothing but the events it
+// returns.
+var (
+	wakes  = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+	timers sync.Pool
+)
 
 func newEventHub(capacity int) *eventHub {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &eventHub{
-		ring: make([]controlapi.EventRecord, capacity),
-		wake: make(chan struct{}),
-	}
+	return &eventHub{ring: make([]controlapi.EventRecord, capacity)}
 }
 
 // start is the sequence number of the oldest retained event.
@@ -41,20 +49,28 @@ func (h *eventHub) start() uint64 {
 }
 
 // Publish stores one event, overwriting the oldest once the ring is
-// full, and wakes every waiting poller.
+// full, and wakes every parked poller.
 func (h *eventHub) Publish(e obs.Event) {
 	h.mu.Lock()
 	h.ring[h.next%uint64(len(h.ring))] = controlapi.EventRecord{Seq: h.next, Event: e}
 	h.next++
-	close(h.wake)
-	h.wake = make(chan struct{})
+	for i, w := range h.parked {
+		select {
+		case w <- struct{}{}:
+		default: // already woken
+		}
+		h.parked[i] = nil
+	}
+	h.parked = h.parked[:0]
 	h.mu.Unlock()
 }
 
 // since returns retained events with Seq >= after (capped at max),
 // the cursor for the following poll, and how many requested events
-// had already rotated out of the ring.
-func (h *eventHub) since(after uint64, max int) (events []controlapi.EventRecord, next uint64, dropped uint64) {
+// had already rotated out of the ring. With none to return and a
+// non-nil wake, it parks wake for the next Publish, atomically with
+// the check, so no event slips in between.
+func (h *eventHub) since(after uint64, max int, wake chan struct{}) (events []controlapi.EventRecord, next uint64, dropped uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if start := h.start(); after < start {
@@ -62,6 +78,9 @@ func (h *eventHub) since(after uint64, max int) (events []controlapi.EventRecord
 		after = start
 	}
 	if after >= h.next {
+		if wake != nil {
+			h.parked = append(h.parked, wake)
+		}
 		return nil, h.next, dropped
 	}
 	n := h.next - after
@@ -75,32 +94,68 @@ func (h *eventHub) since(after uint64, max int) (events []controlapi.EventRecord
 	return events, after + n, dropped
 }
 
-// waiter returns the channel closed by the next Publish.
-func (h *eventHub) waiter() <-chan struct{} {
+// unpark withdraws a poller whose wait timed out, and empties its wake
+// channel: a Publish may have woken it in the meantime.
+func (h *eventHub) unpark(wake chan struct{}) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.wake
+	if i := slices.Index(h.parked, wake); i >= 0 {
+		h.parked = slices.Delete(h.parked, i, i+1)
+	}
+	h.mu.Unlock()
+	select {
+	case <-wake:
+	default:
+	}
 }
 
 // Poll is the long-poll read: it returns immediately when events past
 // the cursor exist, otherwise blocks up to wait for one to arrive.
 func (h *eventHub) Poll(after uint64, max int, wait time.Duration) controlapi.EventsResponse {
+	if wait <= 0 {
+		events, next, dropped := h.since(after, max, nil)
+		return controlapi.EventsResponse{Events: events, Next: next, Dropped: dropped}
+	}
 	deadline := time.Now().Add(wait)
+	wake := wakes.Get().(chan struct{})
+	defer wakes.Put(wake)
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timers.Put(timer)
+		}
+	}()
 	for {
-		w := h.waiter()
-		events, next, dropped := h.since(after, max)
-		if len(events) > 0 || wait <= 0 {
-			return controlapi.EventsResponse{Events: events, Next: next, Dropped: dropped}
-		}
+		events, next, dropped := h.since(after, max, wake)
 		remain := time.Until(deadline)
-		if remain <= 0 {
+		if len(events) > 0 || remain <= 0 {
+			if len(events) == 0 {
+				h.unpark(wake)
+			}
 			return controlapi.EventsResponse{Events: events, Next: next, Dropped: dropped}
 		}
-		t := time.NewTimer(remain)
-		select {
-		case <-w:
-		case <-t.C:
+		if timer == nil {
+			timer, _ = timers.Get().(*time.Timer)
 		}
-		t.Stop()
+		if timer == nil {
+			timer = time.NewTimer(remain)
+		} else {
+			timer.Reset(remain)
+		}
+		select {
+		case <-wake:
+			// Stop and drain, so the pooled timer holds no stale
+			// tick. Under the pre-Go 1.23 timer semantics go.mod selects,
+			// a tick already being sent can still land after a
+			// non-blocking drain; the next wait then wakes early and
+			// loops, since the deadline, not the timer, ends the poll.
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+		case <-timer.C:
+			h.unpark(wake)
+		}
 	}
 }

@@ -2,7 +2,10 @@ package controlserver
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"vprofile/internal/obs"
 )
@@ -52,5 +55,106 @@ func TestEventHubWrap(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// parkedPollers counts the pollers waiting on the hub.
+func parkedPollers(h *eventHub) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.parked)
+}
+
+// TestEventHubPollWaitAllocs holds a long poll that waits and is
+// woken to one allocation, the events it returns: its wake channel
+// and timer are pooled, not made per wait. A poll that times out
+// leaves no poller parked behind it.
+func TestEventHubPollWaitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool puts at random")
+	}
+	h := newEventHub(8)
+	stop := make(chan struct{})
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		ev := obs.Event{Kind: obs.EventVoltage}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if parkedPollers(h) > 0 {
+				h.Publish(ev)
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}()
+	var cursor uint64
+	woken := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		resp := h.Poll(cursor, 1, time.Minute)
+		if len(resp.Events) == 1 && resp.Events[0].Seq == cursor {
+			woken++
+		}
+		cursor = resp.Next
+	})
+	close(stop)
+	<-published
+	if woken != 101 {
+		t.Fatalf("%d of 101 polls were woken with the next event", woken)
+	}
+	if allocs > 1 {
+		t.Fatalf("a woken Poll allocates %.0f times, want only its events slice", allocs)
+	}
+
+	if resp := h.Poll(cursor, 1, time.Millisecond); len(resp.Events) != 0 || resp.Next != cursor {
+		t.Fatalf("timed-out poll returned %d events, next %d; want none at %d", len(resp.Events), resp.Next, cursor)
+	}
+	if n := parkedPollers(h); n != 0 {
+		t.Fatalf("%d pollers still parked after a timed-out poll", n)
+	}
+}
+
+// TestEventHubConcurrentPollers races long polls — some woken by a
+// Publish, some timing out as one lands — against a publisher: every
+// poller must read every event exactly once, in order, and none may
+// stay parked once all have returned.
+func TestEventHubConcurrentPollers(t *testing.T) {
+	const pollers, events = 4, 500
+	h := newEventHub(events)
+	var wg sync.WaitGroup
+	for p := 0; p < pollers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var cursor uint64
+			for cursor < events {
+				resp := h.Poll(cursor, 7, time.Duration(p)*time.Millisecond)
+				for _, rec := range resp.Events {
+					if rec.Seq != cursor {
+						t.Errorf("poller %d read seq %d, want %d", p, rec.Seq, cursor)
+						return
+					}
+					cursor++
+				}
+				if resp.Next != cursor || resp.Dropped != 0 {
+					t.Errorf("poller %d: next %d dropped %d at cursor %d", p, resp.Next, resp.Dropped, cursor)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < events; i++ {
+		h.Publish(obs.Event{Kind: obs.EventVoltage})
+		if i%16 == 0 {
+			runtime.Gosched()
+		}
+	}
+	wg.Wait()
+	if n := parkedPollers(h); n != 0 {
+		t.Fatalf("%d pollers still parked after every poll returned", n)
 	}
 }

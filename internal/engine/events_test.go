@@ -112,6 +112,56 @@ func TestSessionEmitsVerdictEvents(t *testing.T) {
 	}
 }
 
+// TestSinkEventsOutliveLaterFrames pins that Result.Events belongs to
+// the sink: the session's tally reuses its event slice from frame to
+// frame, so a sink that keeps each frame's Events — without copying —
+// must still hold that frame's events after every later alarmed frame.
+func TestSinkEventsOutliveLaterFrames(t *testing.T) {
+	m := sharedModel(t)
+	data := buildCapture(t, 403, 300, 200)
+	var want [][]obs.Event
+	ref := engine.NewTally()
+	rd, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := ids.NewComposite(m, ids.CompositeConfig{Extraction: engine.ExtractionFor(rd.Header())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipeline.Sequential(rd, mon, func(r pipeline.Result) error {
+		if events := ref.Observe(r); len(events) > 0 {
+			want = append(want, append([]obs.Event(nil), events...))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 2 {
+		t.Fatalf("test is vacuous: %d alarmed frames", len(want))
+	}
+
+	var kept [][]obs.Event
+	if _, err := streamSession(t, data, engine.WithModel(m), engine.WithWorkers(2)).Run(func(res engine.Result) error {
+		if len(res.Events) > 0 {
+			kept = append(kept, res.Events)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, events := range kept {
+		for i := range events {
+			events[i].Bus = "" // the session tags its bus; the reference has none
+		}
+	}
+	got, _ := json.Marshal(kept)
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Equal(got, wantJSON) {
+		t.Fatalf("kept Result.Events changed after later frames:\n%s\nwant:\n%s", got, wantJSON)
+	}
+}
+
 // TestReadTallyMidRun reads a running session's tally from another
 // goroutine, as the daemon's status poller does: under -race the
 // reads must not conflict with the sequencer's writes, the frame

@@ -43,6 +43,39 @@ const maxSteadyAllocsPerFrame = 1
 // consecutive windows: a GC that lands in one window empties the
 // pools and inflates that window alone.
 func TestSessionSteadyStateAllocs(t *testing.T) {
+	checkSteadyStateAllocs(t, func(data []byte) io.Reader { return bytes.NewReader(data) })
+}
+
+// TestPacedSessionSteadyStateAllocs is the same gate on a paced feed:
+// the transport hands over one record per read, so the reader finds
+// nothing buffered after every record and each batch is an idle flush
+// of one. Shipping a partial batch must cost no more than a full one.
+func TestPacedSessionSteadyStateAllocs(t *testing.T) {
+	checkSteadyStateAllocs(t, func(data []byte) io.Reader {
+		header, records := splitCapture(t, data)
+		return &pacedReader{chunks: append([][]byte{header}, records...)}
+	})
+}
+
+// pacedReader serves its chunks one per Read, as a feed that writes
+// one record at a time and is read as fast as it writes.
+type pacedReader struct{ chunks [][]byte }
+
+func (r *pacedReader) Read(p []byte) (int, error) {
+	if len(r.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.chunks[0])
+	if r.chunks[0] = r.chunks[0][n:]; len(r.chunks[0]) == 0 {
+		r.chunks = r.chunks[1:]
+	}
+	return n, nil
+}
+
+// checkSteadyStateAllocs runs a warm-up session and a measured one
+// over the transport feed builds, and holds the measured session's
+// median allocations per frame to maxSteadyAllocsPerFrame.
+func checkSteadyStateAllocs(t *testing.T, feed func([]byte) io.Reader) {
 	if raceEnabled {
 		t.Skip("the race runtime drops sync.Pool puts at random")
 	}
@@ -54,8 +87,12 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	run := func(measure bool) []float64 {
 		tally := engine.NewTally()
 		var marks [windows + 1]runtime.MemStats
-		sess := streamSession(t, data, engine.WithModel(m), engine.WithWorkers(2))
-		_, err := sess.Run(func(res engine.Result) error {
+		src, err := engine.NewStreamSource("stream", io.NopCloser(feed(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := engine.NewSession("", engine.WithSource(src), engine.WithModel(m), engine.WithWorkers(2))
+		_, err = sess.Run(func(res engine.Result) error {
 			tally.Observe(res.Result)
 			if i := res.Index - from; measure && i >= 0 && i%width == 0 && i/width <= windows {
 				runtime.ReadMemStats(&marks[i/width])

@@ -39,6 +39,8 @@ type saTally struct {
 // and quarantine transitions included.
 type Tally struct {
 	perSA map[uint8]*saTally
+	// events is Observe's reused result slice.
+	events []obs.Event
 	TallyCounts
 	Quarantined bool
 	Drifting    bool
@@ -64,7 +66,9 @@ func NewTally() *Tally { return &Tally{perSA: map[uint8]*saTally{}} }
 // structured events it produced (nil for an unremarkable frame).
 // Alarm events are severity-tagged, and on a traced replay every
 // event carries the frame's TraceID so event lines join against the
-// flight recorder's decision records.
+// flight recorder's decision records. The returned slice is the
+// tally's own and is overwritten by the next Observe: a caller that
+// keeps the events past that must copy them.
 func (t *Tally) Observe(res pipeline.Result) []obs.Event {
 	rec, r := res.Record, res.Verdict
 	t.LastAt = rec.TimeSec
@@ -114,7 +118,7 @@ func (t *Tally) Observe(res pipeline.Result) []obs.Event {
 	if r.QuarantineChanged() {
 		emit |= obs.AlarmQuarantine
 	}
-	var events []obs.Event
+	events := t.events[:0]
 	for a, rest := emit.Next(); a != 0; a, rest = rest.Next() {
 		ev := alarmEvent(res, a)
 		if !raised.Has(a) {
@@ -137,6 +141,10 @@ func (t *Tally) Observe(res pipeline.Result) []obs.Event {
 			}
 		}
 	}
+	if len(events) == 0 {
+		return nil
+	}
+	t.events = events
 	return events
 }
 

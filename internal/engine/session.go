@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -226,9 +227,10 @@ func WithModel(m *core.Model) Option { return func(s *settings) { s.model = m } 
 // shares one pool of this size across all its buses.
 func WithWorkers(n int) Option { return func(s *settings) { s.workers = n } }
 
-// WithBatch sets the records-per-batch granularity of the replay
-// pipeline (0 = pipeline.DefaultBatch, 1 = per-record handoff).
-// Verdicts are identical at every batch size.
+// WithBatch bounds the records per batch of the replay pipeline
+// (0 = pipeline.DefaultBatch). It is an upper bound: a live feed ships
+// what has arrived, so a smaller batch buys no latency. Verdicts are
+// identical at every batch size.
 func WithBatch(n int) Option { return func(s *settings) { s.batch = n } }
 
 // WithMetricsAddr serves /metrics, /metrics.json, /debug/pprof/ (and
@@ -432,7 +434,9 @@ func (s *Session) run(sink Sink) (Summary, error) {
 	// Every verdict folds into the tally, under the lock a mid-stream
 	// ReadTally or Snapshot takes, and the events it derives go out
 	// through the fleet outlet before the user sink sees the result.
-	// This is the one place verdict events are made.
+	// This is the one place verdict events are made. The tally reuses
+	// its event slice, so only a user sink, which may keep
+	// Result.Events, gets a copy.
 	bus, tally := s.name, s.live.tally
 	pfn := func(r pipeline.Result) error {
 		s.live.mu.Lock()
@@ -445,7 +449,7 @@ func (s *Session) run(sink Sink) (Summary, error) {
 			}
 		}
 		if sink != nil {
-			return sink(Result{Bus: bus, Result: r, Events: events})
+			return sink(Result{Bus: bus, Result: r, Events: slices.Clone(events)})
 		}
 		return nil
 	}

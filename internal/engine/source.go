@@ -147,8 +147,21 @@ func (s *StreamSource) Stop() {
 // Stopped reports whether Stop has been called.
 func (s *StreamSource) Stopped() bool { return s.stopped.Load() }
 
-// Close releases the transport.
-func (s *StreamSource) Close() error { return s.closer.Close() }
+// Close releases the transport and returns the reader's pooled read
+// buffer. It must not run while a read is in flight; a session closes
+// its source only after its replay has returned. A second Close
+// closes the transport again but returns the buffer only once.
+func (s *StreamSource) Close() error {
+	err := s.closer.Close()
+	s.rd.Release()
+	return err
+}
+
+// Buffered implements pipeline.Source: the bytes the reader holds
+// already read off the transport. Zero means the next record has not
+// arrived yet (as far as the reader knows), so the pipeline ships the
+// verdicts it has in hand before reading on.
+func (s *StreamSource) Buffered() int { return s.rd.Buffered() }
 
 // NextRawInto implements pipeline.Source: it refills rec with the next
 // record, or returns io.EOF once the stream ends or Stop was called.

@@ -352,7 +352,7 @@ func (c *Correlator) observeAlarm(b *BusStream, ev Evidence) {
 func (c *Correlator) openIncident(scope, bus string, sa uint8, t float64) *Incident {
 	c.seq++
 	in := &Incident{
-		ID: fmt.Sprintf("INC-%04d", c.seq), Scope: scope, State: StateOpen,
+		ID: fmt.Sprintf("INC-%04d", c.seq), seq: c.seq, Scope: scope, State: StateOpen,
 		SA: sa, Severity: obs.SeverityWarning,
 		OpenedAt: t, LastEvidence: t,
 		buses: make(map[string]*BusEvidence),
@@ -422,7 +422,7 @@ func (c *Correlator) maybeCorrelate(bus string, ev Evidence) {
 
 	c.seq++
 	fi := &Incident{
-		ID: fmt.Sprintf("INC-%04d", c.seq), Scope: ScopeFleet, State: StateOpen,
+		ID: fmt.Sprintf("INC-%04d", c.seq), seq: c.seq, Scope: ScopeFleet, State: StateOpen,
 		SA: ev.SA, Severity: obs.SeverityWarning,
 		OpenedAt: ev.T, LastEvidence: ev.T,
 		buses: make(map[string]*BusEvidence),
@@ -431,12 +431,9 @@ func (c *Correlator) maybeCorrelate(bus string, ev Evidence) {
 	// their lifecycle closes with a pointer at the survivor, and the
 	// fleet incident inherits the earliest open time — the condition
 	// started when the first bus saw it, not when correlation tripped.
-	for name := range c.buses {
-		key := busKey(name, ev.SA)
+	absorbed := c.openByID(func(in *Incident) bool { return in.Scope == ScopeSingleBus && in.SA == ev.SA })
+	for _, key := range absorbed {
 		si := c.open[key]
-		if si == nil {
-			continue
-		}
 		for _, e := range si.buses {
 			fi.buses[e.Bus] = e
 		}
@@ -448,17 +445,7 @@ func (c *Correlator) maybeCorrelate(bus string, ev Evidence) {
 		if severityRank(si.Severity) > severityRank(fi.Severity) {
 			fi.Severity = si.Severity
 		}
-		delete(c.open, key)
-		si.State = StateResolved
-		si.ResolvedAt = ev.T
-		si.Resolution = "correlated into " + fi.ID
-		c.retire(si)
-		c.emit(obs.Event{
-			TimeSec: ev.T, Kind: obs.EventIncidentResolve, Bus: si.Buses()[0].Bus,
-			Severity: si.Severity, SA: obs.U8(ev.SA),
-			Incident: si.ID, Scope: si.Scope,
-			Detail: si.Resolution,
-		})
+		c.resolveLocked(key, ev.T, "correlated into "+fi.ID, "correlated into "+fi.ID)
 	}
 	c.open[fleetKey(ev.SA)] = fi
 	c.emit(obs.Event{
@@ -495,6 +482,41 @@ func (c *Correlator) escalate(in *Incident, severity string, t float64, why stri
 	})
 }
 
+// openByID returns the keys of the open incidents keep selects, in
+// incident-ID (creation) order, so which incidents resolve first — the
+// order of their resolve events and what the bounded resolved ring
+// keeps — never follows map iteration order.
+func (c *Correlator) openByID(keep func(*Incident) bool) []string {
+	var keys []string
+	for key, in := range c.open {
+		if keep(in) {
+			keys = append(keys, key)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return c.open[keys[i]].seq < c.open[keys[j]].seq })
+	return keys
+}
+
+// resolveLocked closes the open incident under key at capture time at,
+// retires it into the resolved ring and announces it.
+func (c *Correlator) resolveLocked(key string, at float64, resolution, detail string) {
+	in := c.open[key]
+	delete(c.open, key)
+	in.State = StateResolved
+	in.ResolvedAt = at
+	in.Resolution = resolution
+	c.retire(in)
+	evBus := ""
+	if in.Scope == ScopeSingleBus {
+		evBus = busNames(in)[0]
+	}
+	c.emit(obs.Event{
+		TimeSec: at, Kind: obs.EventIncidentResolve, Bus: evBus,
+		Severity: in.Severity, SA: obs.U8(in.SA),
+		Incident: in.ID, Scope: in.Scope, Detail: detail,
+	})
+}
+
 // retire moves a resolved incident into the bounded ring.
 func (c *Correlator) retire(in *Incident) {
 	c.resolved = append(c.resolved, in.snapshot())
@@ -528,25 +550,10 @@ func (c *Correlator) sweepInterval() float64 {
 
 // sweepLocked resolves quiet incidents and refreshes per-bus health.
 func (c *Correlator) sweepLocked(now float64) {
-	for key, in := range c.open {
-		if now-in.LastEvidence > c.cfg.QuietSec {
-			delete(c.open, key)
-			in.State = StateResolved
-			in.ResolvedAt = now
-			in.Resolution = "quiet"
-			c.retire(in)
-			evBus := ""
-			if in.Scope == ScopeSingleBus {
-				evBus = busNames(in)[0]
-			}
-			c.emit(obs.Event{
-				TimeSec: now, Kind: obs.EventIncidentResolve, Bus: evBus,
-				Severity: in.Severity, SA: obs.U8(in.SA),
-				Incident: in.ID, Scope: in.Scope,
-				Detail: fmt.Sprintf("quiet for %.1fs (%d alarms over %d buses)",
-					c.cfg.QuietSec, in.Alarms, len(in.buses)),
-			})
-		}
+	for _, key := range c.openByID(func(in *Incident) bool { return now-in.LastEvidence > c.cfg.QuietSec }) {
+		in := c.open[key]
+		c.resolveLocked(key, now, "quiet", fmt.Sprintf("quiet for %.1fs (%d alarms over %d buses)",
+			c.cfg.QuietSec, in.Alarms, len(in.buses)))
 	}
 	for _, name := range c.order {
 		b := c.buses[name]
@@ -597,22 +604,10 @@ func (c *Correlator) emit(e obs.Event) {
 func (c *Correlator) CloseOut() []Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, in := range c.open {
-		delete(c.open, key)
-		in.State = StateResolved
-		in.ResolvedAt = c.now
-		in.Resolution = "end-of-run"
-		c.retire(in)
-		evBus := ""
-		if in.Scope == ScopeSingleBus {
-			evBus = busNames(in)[0]
-		}
-		c.emit(obs.Event{
-			TimeSec: c.now, Kind: obs.EventIncidentResolve, Bus: evBus,
-			Severity: in.Severity, SA: obs.U8(in.SA),
-			Incident: in.ID, Scope: in.Scope,
-			Detail: fmt.Sprintf("end-of-run (%d alarms over %d buses)", in.Alarms, len(in.buses)),
-		})
+	for _, key := range c.openByID(func(*Incident) bool { return true }) {
+		in := c.open[key]
+		c.resolveLocked(key, c.now, "end-of-run", fmt.Sprintf("end-of-run (%d alarms over %d buses)",
+			in.Alarms, len(in.buses)))
 	}
 	for _, name := range c.order {
 		b := c.buses[name]

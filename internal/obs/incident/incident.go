@@ -159,6 +159,8 @@ type Incident struct {
 	// incident is tagged so responders triage it differently.
 	Environmental bool `json:"environmental,omitempty"`
 
+	// seq is the number in ID, for ordering past INC-9999.
+	seq   int
 	buses map[string]*BusEvidence
 }
 

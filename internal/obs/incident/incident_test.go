@@ -265,6 +265,67 @@ func TestCloseOut(t *testing.T) {
 	}
 }
 
+// TestResolveInIDOrder opens incidents on many senders or buses at
+// once and resolves them together — quiet, end of run, or absorbed
+// into a fleet incident: the resolve events must come out in
+// incident-ID order, and the bounded resolved ring must keep the
+// newest IDs, not whichever the open map yielded last.
+func TestResolveInIDOrder(t *testing.T) {
+	const n, keep = 40, 8
+	ids := func(from, to int) []string {
+		var out []string
+		for i := from; i <= to; i++ {
+			out = append(out, fmt.Sprintf("INC-%04d", i))
+		}
+		return out
+	}
+	for _, how := range []string{"quiet", "end-of-run", "correlated"} {
+		t.Run(how, func(t *testing.T) {
+			var resolves []string
+			c := incident.New(incident.Config{
+				QuietSec: 2, KeepResolved: keep, CorrelateBuses: n,
+				Emit: func(e obs.Event) {
+					if e.Kind == obs.EventIncidentResolve {
+						resolves = append(resolves, e.Incident)
+					}
+				},
+			})
+			if how == "correlated" {
+				// One sender alarming on n buses, the last-named first:
+				// the n-th bus trips correlation and its single-bus
+				// incidents all resolve into the fleet one at once.
+				for i := n - 1; i >= 0; i-- {
+					c.Bus(fmt.Sprintf("bus%02d", i)).Observe(alarm(0x42, 1.0))
+				}
+			} else {
+				b := c.Bus("bus0")
+				for i := 0; i < n; i++ {
+					b.Observe(alarm(uint8(0x40+i), 1.0))
+				}
+				if how == "quiet" {
+					for ts := 1.5; ts < 5.0; ts += 0.1 {
+						b.Observe(clean(0x10, ts))
+					}
+				} else {
+					c.CloseOut()
+				}
+			}
+			want := ids(1, n)
+			if strings.Join(resolves, ",") != strings.Join(want, ",") {
+				t.Fatalf("resolve events %v, want %v", resolves, want)
+			}
+			_, resolved := c.Incidents()
+			var kept []string
+			for _, s := range resolved {
+				kept = append(kept, s.ID)
+			}
+			if strings.Join(kept, ",") != strings.Join(want[n-keep:], ",") {
+				t.Fatalf("resolved ring keeps %v, want %v", kept, want[n-keep:])
+			}
+		})
+	}
+}
+
 func TestHealthScore(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("vprofile_bus_health_score", "test")

@@ -206,6 +206,7 @@ func ReadBundle(dir string) (*Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracing: %s: %w", bundleWaveformFile, err)
 	}
+	defer rd.Release()
 	for i := 0; ; i++ {
 		rec, err := rd.Next()
 		if errors.Is(err, io.EOF) {

@@ -16,14 +16,18 @@
 //     runs the stateful detectors (period monitor, transport
 //     reassembly) in arrival order via Composite.Sequence.
 //
-// Stages exchange batches of records (Config.Batch, default 64) so
-// channel operations, pool submissions and scheduler wakeups amortise
-// over many frames — at ~100 µs of scoring work per frame, per-record
-// handoffs cost more in synchronisation than they buy in overlap.
-// Batching changes only the transport granularity: records keep their
-// stream indices and the reordering stage still delivers strictly in
-// index order, so verdicts remain bit-identical to the sequential path
-// at any batch size.
+// Stages exchange batches of up to Config.Batch records (default 64),
+// so when records arrive faster than they are scored — a file, or a
+// saturated socket — channel operations, pool submissions and
+// scheduler wakeups amortise over many frames. A batch is an upper
+// bound, not a quota: the reader ships what it holds as soon as its
+// source has nothing more buffered (Source.Buffered), before a read
+// that may block, so on a live feed a frame's verdict never waits for
+// later frames to arrive. Handing a partial batch on allocates
+// nothing. Batching changes only the transport granularity: records
+// keep their stream indices and the reordering stage still delivers
+// strictly in index order, so verdicts remain bit-identical to the
+// sequential path at any batch size and any flush pattern.
 //
 // All channels are bounded, so a slow sink backpressures the reader
 // instead of ballooning memory; the first error from any stage stops
@@ -50,14 +54,19 @@ import (
 // raw record, overwriting every field, and returns io.EOF at the end
 // of the stream. The sample codes stay packed so the float64 expansion
 // runs in the worker pool, and the pipeline recycles record buffers
-// end to end. *trace.Reader and engine.StreamSource implement it.
+// end to end. Buffered reports how many bytes the source has already
+// taken off its transport; zero means the next read may block, so the
+// reader ships its partial batch first. *trace.Reader and
+// engine.StreamSource implement it.
 type Source interface {
 	NextRawInto(*trace.RawRecord) error
+	Buffered() int
 }
 
-// DefaultBatch is the records-per-batch default (Config.Batch = 0):
-// large enough to amortise channel and pool synchronisation, small
-// enough that a batch stays resident in cache through scoring.
+// DefaultBatch is the records-per-batch bound (Config.Batch = 0):
+// large enough to amortise channel and pool synchronisation while
+// records are waiting, small enough that a batch stays resident in
+// cache through scoring.
 const DefaultBatch = 64
 
 // Config parameterises a replay.
@@ -70,11 +79,13 @@ type Config struct {
 	// mode) then contend for one bounded set of goroutines. The pool
 	// must outlive the replay; the replay does not close it.
 	Pool *Pool
-	// Batch is the number of records exchanged per channel operation
-	// between stages. Zero means DefaultBatch; one degenerates to
-	// per-record handoff (useful for latency-sensitive live feeds and
-	// for determinism tests). Verdicts and their order are identical at
-	// every batch size.
+	// Batch is the most records exchanged per channel operation
+	// between stages; zero means DefaultBatch. It is an upper bound:
+	// the reader ships a partial batch whenever its source has nothing
+	// buffered, so a live feed gets a verdict per frame as it arrives
+	// at any batch size, and a batch of one buys no latency, only more
+	// handoffs. Verdicts and their order are identical at every batch
+	// size.
 	Batch int
 	// Depth is the capacity of each inter-stage channel in batches,
 	// bounding how far the reader may run ahead of the sink (roughly
@@ -264,6 +275,20 @@ type scored struct {
 	extractErr error
 }
 
+// jobBatch is a run of consecutive records on its way from the reader
+// to a worker. It is also the pool task: run is the replay's scoring
+// function, made once per Run, so submitting a batch needs no closure.
+type jobBatch struct {
+	run  func(*jobBatch)
+	jobs []job
+}
+
+// scoredBatch is a jobBatch after scoring, on its way to the
+// reordering stage.
+type scoredBatch struct {
+	items []scored
+}
+
 // processBatch is the stateless hot path one pool task runs: decode
 // each raw record into a pooled record, extract and score it, then
 // hand the whole scored batch to the reordering stage in one channel
@@ -271,12 +296,12 @@ type scored struct {
 // released by abandon — releasing the batch's pooled buffers on that
 // path — so a stalled replay never wedges a shared pool beyond its
 // in-flight tasks and an abandoned batch never strands a buffer.
-func (p *Replayer) processBatch(jobs []job, out chan<- []scored, abandon <-chan struct{}) {
+func (p *Replayer) processBatch(b *jobBatch, out chan<- *scoredBatch, abandon <-chan struct{}) {
 	m := p.metrics
 	rc := p.rc
 	start := time.Now()
 	sb := rc.getScoredBatch()
-	for _, j := range jobs {
+	for _, j := range b.jobs {
 		var t0 time.Time
 		if m != nil {
 			t0 = time.Now()
@@ -290,8 +315,8 @@ func (p *Replayer) processBatch(jobs []job, out chan<- []scored, abandon <-chan 
 		if m != nil {
 			m.DecodeSeconds.Observe(time.Since(t0).Seconds())
 		}
-		sb = append(sb, scored{job: j, frame: canbus.ExtendedFrame{ID: j.rec.FrameID, Data: j.rec.Data}})
-		s := &sb[len(sb)-1]
+		sb.items = append(sb.items, scored{job: j, frame: canbus.ExtendedFrame{ID: j.rec.FrameID, Data: j.rec.Data}})
+		s := &sb.items[len(sb.items)-1]
 		s.det, s.forensics, s.extractErr = p.mon.VoltageVerdictTraced(&s.frame, j.rec.Trace, j.ft)
 		if s.extractErr != nil {
 			p.extractFailures.Add(1)
@@ -304,7 +329,7 @@ func (p *Replayer) processBatch(jobs []job, out chan<- []scored, abandon <-chan 
 		// like progress, not a wedge.
 		p.recordsScored.Add(1)
 	}
-	rc.putJobBatch(jobs)
+	rc.putJobBatch(b)
 	// One busy-time add per batch: the whole loop is work, and a single
 	// atomic add amortises the accounting the way the batch amortises
 	// the channel operations.
@@ -333,8 +358,8 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 	}()
 
 	rc := p.rc
-	jobs := make(chan []job, p.depth)
-	out := make(chan []scored, p.depth)
+	jobs := make(chan *jobBatch, p.depth)
+	out := make(chan *scoredBatch, p.depth)
 	// abandon is closed only when the sink fails and stage 3 stops
 	// draining; it unblocks upstream sends that would otherwise hang.
 	// A source error does NOT close it — the records already read
@@ -408,9 +433,12 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 	// Stage 1: the reader refills pooled raw records, tags them with
 	// their stream index and accumulates them into batches. The samples
 	// stay packed here and inflate in the workers, keeping the serial
-	// stage as thin as the format allows. A source error does not
-	// abandon the replay: the partial batch already read is flushed so
-	// the sink sees the complete prefix before the error surfaces.
+	// stage as thin as the format allows. A batch ships when it is
+	// full or when the source has nothing more buffered — the next read
+	// may block, and the records in hand must not wait for it. A source
+	// error does not abandon the replay: the partial batch already read
+	// is flushed so the sink sees the complete prefix before the error
+	// surfaces.
 	go func() {
 		defer close(jobs)
 		batch := rc.getJobBatch()
@@ -418,18 +446,24 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 		// when the replay has been abandoned (the batch is released, not
 		// leaked). The empty batch is returned to the pool, never sent.
 		flush := func() bool {
-			if len(batch) == 0 {
+			if len(batch.jobs) == 0 {
 				return true
 			}
+			// Once abandoned, the reader stops even though the
+			// dispatcher, draining, would take every batch it sends.
 			select {
-			case jobs <- batch:
-				batch = rc.getJobBatch()
-				return true
 			case <-abandon:
-				rc.releaseJobs(batch)
-				batch = nil
-				return false
+			default:
+				select {
+				case jobs <- batch:
+					batch = rc.getJobBatch()
+					return true
+				case <-abandon:
+				}
 			}
+			rc.releaseJobs(batch)
+			batch = nil
+			return false
 		}
 		for idx := 0; ; idx++ {
 			j := job{idx: idx}
@@ -457,8 +491,8 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 			if m := p.metrics; m != nil {
 				m.RecordsIn.Inc()
 			}
-			batch = append(batch, j)
-			if len(batch) >= p.batch {
+			batch.jobs = append(batch.jobs, j)
+			if len(batch.jobs) >= p.batch || src.Buffered() == 0 {
 				if !flush() {
 					return
 				}
@@ -489,16 +523,18 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 		}
 	}()
 	var wg sync.WaitGroup
+	// score is the task every batch of this replay carries into the
+	// pool, made once here so a submission allocates nothing.
+	score := func(b *jobBatch) {
+		p.processBatch(b, out, abandon)
+		wg.Done()
+	}
 	go func() {
 		defer close(dispatcherDone)
 		for b := range jobs {
 			wg.Add(1)
-			b := b
-			accepted := pool.submit(func() {
-				defer wg.Done()
-				p.processBatch(b, out, abandon)
-			}, abandon)
-			if !accepted {
+			b.run = score
+			if !pool.submit(b, abandon) {
 				// The submission was abandoned: the batch never reached a
 				// worker, so its buffers (and the worker slot the Add
 				// reserved) are released here, then the channel drains so
@@ -529,9 +565,9 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 	// path.
 	next := 0
 	m := p.metrics
-	pending := make(map[int][]scored, 2*p.depth+p.workers)
+	pending := make(map[int]*scoredBatch, 2*p.depth+p.workers)
 	pendingRecords := 0
-	var cur []scored
+	var cur *scoredBatch
 	defer func() {
 		if cur != nil {
 			rc.releaseScored(cur)
@@ -587,18 +623,18 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 		return !stalled.Load()
 	}
 	for sb := range out {
-		pending[sb[0].idx] = sb
-		pendingRecords += len(sb)
+		pending[sb.items[0].idx] = sb
+		pendingRecords += len(sb.items)
 		for {
 			b, ok := pending[next]
 			if !ok {
 				break
 			}
 			delete(pending, next)
-			pendingRecords -= len(b)
+			pendingRecords -= len(b.items)
 			cur = b
-			for i := range cur {
-				if !deliver(&cur[i]) {
+			for i := range cur.items {
+				if !deliver(&cur.items[i]) {
 					return getErr()
 				}
 			}

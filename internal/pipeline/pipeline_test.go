@@ -385,6 +385,8 @@ func (s *errorSource) NextRawInto(rec *trace.RawRecord) error {
 	return s.src.NextRawInto(rec)
 }
 
+func (s *errorSource) Buffered() int { return s.src.Buffered() }
+
 func TestPipelineStopsOnSourceError(t *testing.T) {
 	v := vehicle.NewVehicleB()
 	model := buildModel(t, v)

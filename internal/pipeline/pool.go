@@ -24,7 +24,7 @@ import (
 // closes, so one bus's failure occupies at most its in-flight tasks
 // for an instant rather than wedging the shared pool.
 type Pool struct {
-	tasks   chan func()
+	tasks   chan *jobBatch
 	wg      sync.WaitGroup
 	workers int
 	closed  atomic.Bool
@@ -36,13 +36,13 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{tasks: make(chan func()), workers: workers}
+	p := &Pool{tasks: make(chan *jobBatch), workers: workers}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer p.wg.Done()
-			for task := range p.tasks {
-				task()
+			for b := range p.tasks {
+				b.run(b)
 			}
 		}()
 	}
@@ -52,14 +52,15 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// submit blocks until a worker accepts the task, or until abandon
-// closes (the submitting replay aborted); it reports whether the task
-// was accepted. The task channel is unbuffered on purpose:
-// backpressure reaches the submitting replay's reader immediately
-// instead of queueing unboundedly in the pool.
-func (p *Pool) submit(task func(), abandon <-chan struct{}) bool {
+// submit blocks until a worker accepts the batch, or until abandon
+// closes (the submitting replay aborted); it reports whether the batch
+// was accepted. The batch is the task — it carries its replay's
+// scoring function — so a submission allocates nothing. The task channel is unbuffered on
+// purpose: backpressure reaches the submitting replay's reader
+// immediately instead of queueing unboundedly in the pool.
+func (p *Pool) submit(b *jobBatch, abandon <-chan struct{}) bool {
 	select {
-	case p.tasks <- task:
+	case p.tasks <- b:
 		return true
 	case <-abandon:
 		return false

@@ -13,9 +13,13 @@ import (
 // from the heap. Pooled batch slices carry no record pointers (they are
 // cleared on put) and pooled records are fully overwritten on reuse,
 // so sharing is invisible to verdicts.
+//
+// The pools hold pointers: a slice put into a sync.Pool is boxed into a
+// fresh interface value, one allocation per batch, which a live feed
+// shipping one-record batches would pay on every frame.
 var (
-	jobBatchPool    sync.Pool
-	scoredBatchPool sync.Pool
+	jobBatchPool    = sync.Pool{New: func() any { return new(jobBatch) }}
+	scoredBatchPool = sync.Pool{New: func() any { return new(scoredBatch) }}
 	rawPool         = sync.Pool{New: func() any { return new(trace.RawRecord) }}
 	recPool         = sync.Pool{New: func() any { return new(trace.Record) }}
 )
@@ -45,32 +49,36 @@ type recycler struct {
 	outstanding atomic.Int64
 }
 
-func (rc *recycler) getJobBatch() []job {
+func (rc *recycler) getJobBatch() *jobBatch {
 	rc.outstanding.Add(1)
-	if b, ok := jobBatchPool.Get().([]job); ok && cap(b) >= rc.batch {
-		return b
+	b := jobBatchPool.Get().(*jobBatch)
+	if cap(b.jobs) < rc.batch {
+		b.jobs = make([]job, 0, rc.batch)
 	}
-	return make([]job, 0, rc.batch)
+	return b
 }
 
-func (rc *recycler) putJobBatch(b []job) {
+func (rc *recycler) putJobBatch(b *jobBatch) {
 	rc.outstanding.Add(-1)
-	clear(b) // drop record/trace pointers so the pool retains nothing
-	jobBatchPool.Put(b[:0])
+	clear(b.jobs) // drop record/trace pointers so the pool retains nothing
+	b.jobs, b.run = b.jobs[:0], nil
+	jobBatchPool.Put(b)
 }
 
-func (rc *recycler) getScoredBatch() []scored {
+func (rc *recycler) getScoredBatch() *scoredBatch {
 	rc.outstanding.Add(1)
-	if b, ok := scoredBatchPool.Get().([]scored); ok && cap(b) >= rc.batch {
-		return b
+	b := scoredBatchPool.Get().(*scoredBatch)
+	if cap(b.items) < rc.batch {
+		b.items = make([]scored, 0, rc.batch)
 	}
-	return make([]scored, 0, rc.batch)
+	return b
 }
 
-func (rc *recycler) putScoredBatch(b []scored) {
+func (rc *recycler) putScoredBatch(b *scoredBatch) {
 	rc.outstanding.Add(-1)
-	clear(b)
-	scoredBatchPool.Put(b[:0])
+	clear(b.items)
+	b.items = b.items[:0]
+	scoredBatchPool.Put(b)
 }
 
 func (rc *recycler) getRaw() *trace.RawRecord {
@@ -104,9 +112,9 @@ func (rc *recycler) putRec(r *trace.Record) {
 
 // releaseJobs returns an abandoned job batch and the raw record every
 // job in it still holds (jobs are decoded only inside processBatch).
-func (rc *recycler) releaseJobs(b []job) {
-	for i := range b {
-		rc.putRaw(b[i].raw)
+func (rc *recycler) releaseJobs(b *jobBatch) {
+	for i := range b.jobs {
+		rc.putRaw(b.jobs[i].raw)
 	}
 	rc.putJobBatch(b)
 }
@@ -114,9 +122,9 @@ func (rc *recycler) releaseJobs(b []job) {
 // releaseScored returns an abandoned scored batch and the record
 // buffers its undelivered entries still hold (raw is nil by this
 // stage).
-func (rc *recycler) releaseScored(b []scored) {
-	for i := range b {
-		rc.putRec(b[i].rec)
+func (rc *recycler) releaseScored(b *scoredBatch) {
+	for i := range b.items {
+		rc.putRec(b.items[i].rec)
 	}
 	rc.putScoredBatch(b)
 }

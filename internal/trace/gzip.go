@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -33,26 +33,30 @@ func NewCompressedWriter(w io.Writer, h Header) (*Writer, func() error, error) {
 }
 
 // OpenReader returns a capture reader for plain or gzip-compressed
-// input, auto-detected from the stream's first bytes.
+// input, auto-detected from the stream's first bytes. The two bytes
+// read to decide are put back in front of the stream rather than
+// peeked through a buffer of their own, so the reader's pooled buffer
+// is the only one between a plain stream and the parser.
 func OpenReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(2)
-	if err != nil {
+	head := make([]byte, 2)
+	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
 	}
+	r = io.MultiReader(bytes.NewReader(head), r)
 	if head[0] == 0x1F && head[1] == 0x8B {
-		gz, err := gzip.NewReader(br)
+		gz, err := gzip.NewReader(r)
 		if err != nil {
 			return nil, fmt.Errorf("trace: gzip: %w", err)
 		}
 		return NewReader(gz)
 	}
-	return NewReader(br)
+	return NewReader(r)
 }
 
 // OpenPath opens a capture file (plain or gzip, auto-detected) and
-// returns the reader plus a closer for the underlying file. On error
-// the file is already closed.
+// returns the reader plus a closer for the underlying file, which also
+// releases the reader's read buffer. On error the file is already
+// closed.
 func OpenPath(path string) (*Reader, io.Closer, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -63,5 +67,17 @@ func OpenPath(path string) (*Reader, io.Closer, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return r, f, nil
+	return r, fileReader{r, f}, nil
+}
+
+// fileReader is OpenPath's closer: it releases the reader, then closes
+// its file.
+type fileReader struct {
+	r *Reader
+	f *os.File
+}
+
+func (c fileReader) Close() error {
+	c.r.Release()
+	return c.f.Close()
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -29,7 +28,8 @@ type RecoveredCorruption struct {
 
 // resyncWindow is the look-ahead the recovering reader scans for a
 // record boundary before giving up on that stretch and sliding
-// forward. It comfortably covers a dozen typical records.
+// forward, and the size of every reader's read buffer. It comfortably
+// covers a dozen typical records.
 const resyncWindow = 64 << 10
 
 // minHeaderLen is the fixed-field prefix of a record: ECU (4) +
@@ -48,15 +48,11 @@ const minHeaderLen = 18
 // marker — so a boundary is accepted only when the candidate record's
 // fields all pass sanity bounds and, when the look-ahead window
 // allows, the following record header is plausible too.
-func (r *Reader) EnableRecovery() {
-	r.recover = true
-	// Peek-based scanning needs a window-sized buffer; wrapping the
-	// existing bufio reader is copy-through and keeps already-buffered
-	// bytes.
-	if r.r.Size() < resyncWindow {
-		r.r = bufio.NewReaderSize(r.r, resyncWindow)
-	}
-}
+//
+// The scan peeks through the reader's own read buffer, which is
+// resyncWindow bytes, so recovery adds no second buffer and Buffered
+// stays truthful.
+func (r *Reader) EnableRecovery() { r.recover = true }
 
 // Corruptions returns a copy of the corrupt stretches recovered so
 // far. It is safe to call from another goroutine while the stream is

@@ -163,3 +163,43 @@ func TestNextRawIntoDecodeIntoAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseReturnsBufferOnce pins the read buffer's lifecycle: a
+// second Release returns nothing, so two readers opened afterwards
+// never share a buffer; and recovery reads through the same
+// window-sized buffer, so Buffered counts every byte the reader holds.
+func TestReleaseReturnsBufferOnce(t *testing.T) {
+	data := reuseFixture(t)
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd.Release()
+	rd.Release()
+	a, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.r == b.r {
+		t.Fatal("two live readers share one read buffer")
+	}
+
+	a.EnableRecovery()
+	var raw RawRecord
+	if err := a.NextRawInto(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if a.r.Size() != resyncWindow {
+		t.Fatalf("read buffer holds %d bytes, want %d", a.r.Size(), resyncWindow)
+	}
+	// The header carries four magic bytes that off does not count.
+	if got, want := a.Buffered(), len(data)-4-int(a.off); got != want {
+		t.Fatalf("Buffered = %d after the first record, want the %d unread bytes", got, want)
+	}
+	a.Release()
+	b.Release()
+}

@@ -162,8 +162,15 @@ func (w *Writer) str(s string) {
 	}
 }
 
+// readBufs recycles readers' read buffers. Each is resyncWindow bytes,
+// so the recovering reader peeks a whole window through the one buffer
+// a reader has, and a saturated stream fills it with many records per
+// read. A reader takes one in NewReader and gives it back in Release.
+var readBufs = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, resyncWindow) }}
+
 // Reader streams records from a capture file.
 type Reader struct {
+	// r is the reader's pooled read buffer; nil once released.
 	r       *bufio.Reader
 	header  Header
 	metrics *Metrics
@@ -186,9 +193,18 @@ type Reader struct {
 	field [8]byte
 }
 
-// NewReader validates the header and returns a record reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
+// NewReader validates the header and returns a record reader. The
+// reader reads through a buffer taken from a pool every Reader shares;
+// Release gives it back.
+func NewReader(r io.Reader) (_ *Reader, err error) {
+	br := readBufs.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer func() {
+		if err != nil {
+			br.Reset(nil)
+			readBufs.Put(br)
+		}
+	}()
 	got := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, got); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
@@ -232,6 +248,25 @@ func NewReader(r io.Reader) (*Reader, error) {
 
 // Header returns the capture metadata.
 func (r *Reader) Header() Header { return r.header }
+
+// Buffered reports how many bytes of the stream the reader holds
+// already read but not yet parsed. Zero at a record boundary means the
+// next NextRawInto reads the underlying stream, which on a live feed
+// may block.
+func (r *Reader) Buffered() int { return r.r.Buffered() }
+
+// Release returns the reader's read buffer to the pool every Reader
+// shares. The reader must not be read after it; Header and Corruptions
+// stay valid, and a second Release is a no-op. A reader never released
+// just leaves its buffer to the garbage collector.
+func (r *Reader) Release() {
+	if r.r == nil {
+		return
+	}
+	r.r.Reset(nil)
+	readBufs.Put(r.r)
+	r.r = nil
+}
 
 // RawRecord is a record whose sample codes are still in their packed
 // on-disk form: two little-endian bytes per sample. Reading raw
@@ -450,6 +485,7 @@ func ReadAll(r io.Reader) (Header, []*Record, error) {
 	if err != nil {
 		return Header{}, nil, err
 	}
+	defer rd.Release()
 	var recs []*Record
 	for {
 		rec, err := rd.Next()
