@@ -44,6 +44,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDatagramAccept$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/control
 	$(GO) test -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz '^FuzzDetectMatchesExplain$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz '^FuzzDecodeBody$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/control/controlserver
 
 # bench writes the replay benchmark ablation table — sequential vs

@@ -326,9 +326,10 @@ func BenchmarkExtractLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectLatency measures Algorithm 3 per message: the
-// single-feature distance detection the paper calls lightweight.
-func BenchmarkDetectLatency(b *testing.B) {
+// detectSets extracts the fixture's traces into the samples the
+// detection benchmarks score.
+func detectSets(b *testing.B) (*core.Model, []core.Sample) {
+	b.Helper()
 	_, cfg, model, traces := benchFixture(b)
 	sets := make([]core.Sample, len(traces))
 	for i, tr := range traces {
@@ -338,9 +339,42 @@ func BenchmarkDetectLatency(b *testing.B) {
 		}
 		sets[i] = core.Sample{SA: res.SA, Set: res.Set}
 	}
+	return model, sets
+}
+
+// BenchmarkDetectLatency measures Algorithm 3 per message: the
+// single-feature distance detection the paper calls lightweight.
+func BenchmarkDetectLatency(b *testing.B) {
+	model, sets := detectSets(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := sets[i%len(sets)]
+		model.Detect(s.SA, s.Set)
+	}
+}
+
+// BenchmarkDetectMasquerade is BenchmarkDetectLatency with every set
+// claiming the SA of the next set sent by another ECU: the worst case
+// for early abandoning, since the claimed cluster, scored first, is far
+// and its distance bounds the other clusters loosely.
+func BenchmarkDetectMasquerade(b *testing.B) {
+	model, sets := detectSets(b)
+	forged := make([]core.Sample, len(sets))
+	for i, s := range sets {
+		own := model.SALUT[s.SA]
+		for j := 1; j < len(sets); j++ {
+			if sa := sets[(i+j)%len(sets)].SA; model.SALUT[sa] != own {
+				forged[i] = core.Sample{SA: sa, Set: s.Set}
+				break
+			}
+		}
+		if forged[i].Set == nil {
+			b.Fatal("every set comes from one ECU")
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := forged[i%len(forged)]
 		model.Detect(s.SA, s.Set)
 	}
 }

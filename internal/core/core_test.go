@@ -57,7 +57,7 @@ func trainingData(rng *rand.Rand, ecus []synthECU, perECU int) []Sample {
 	return out
 }
 
-func trainTest(t *testing.T, metric Metric, cfg TrainConfig) (*Model, []synthECU, *rand.Rand) {
+func trainTest(t testing.TB, metric Metric, cfg TrainConfig) (*Model, []synthECU, *rand.Rand) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	ecus := makeECUs(8, []float64{0, 200, 400, 600})
@@ -187,9 +187,8 @@ func TestDetectLegitimateTraffic(t *testing.T) {
 }
 
 // TestDetectAllocFree pins Detect at zero allocations per call. Detect
-// is DetectExplainInto with the evidence dropped, and its distance
-// buffer lives on the stack, so the untraced replay path pays nothing
-// for sharing Algorithm 3 with the explained path.
+// shares Algorithm 3 with DetectExplainInto but keeps no distances, so
+// the untraced replay path pays nothing for sharing it.
 func TestDetectAllocFree(t *testing.T) {
 	m, ecus, rng := trainTest(t, Mahalanobis, TrainConfig{TargetClusters: 4})
 	ok, forged := ecus[1].sample(rng), ecus[2].sample(rng)

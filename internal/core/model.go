@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"vprofile/internal/canbus"
 	"vprofile/internal/linalg"
@@ -109,16 +110,27 @@ func (m *Model) ClusterForSA(sa canbus.SourceAddress) (*Cluster, error) {
 // threshold (MaxDist) and detection distances always come from the
 // same arithmetic.
 func (m *Model) Distance(c *Cluster, set linalg.Vector) float64 {
+	d, _ := m.distanceWithin(c, set, math.Inf(1))
+	return d
+}
+
+// distanceWithin is Distance that may stop early. A cluster scored
+// through its Cholesky factor is a running sum of squares: it reports
+// false at the first row where that sum exceeds limit, which the full
+// sum would exceed too. Every other cluster (no factor, or the
+// Euclidean metric) is scored in full. With limit +Inf it is Distance.
+func (m *Model) distanceWithin(c *Cluster, set linalg.Vector, limit float64) (float64, bool) {
 	if len(set) != m.Dim {
 		panic(ErrDimMismatch)
 	}
 	if m.Metric == Mahalanobis {
 		if f := m.cholFor(c); f != nil {
-			return linalg.MahalanobisChol(set, c.Mean, f)
+			q, done := linalg.MahalanobisSqCholWithin(set, c.Mean, f, limit)
+			return math.Sqrt(q), done
 		}
-		return linalg.Mahalanobis(set, c.Mean, c.InvCov)
+		return linalg.Mahalanobis(set, c.Mean, c.InvCov), true
 	}
-	return linalg.Euclidean(set, c.Mean)
+	return linalg.Euclidean(set, c.Mean), true
 }
 
 // InterClusterDistance returns the distance from cluster a's mean to

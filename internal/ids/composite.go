@@ -250,8 +250,9 @@ func (c *Composite) VoltageVerdict(frame *canbus.ExtendedFrame, tr analog.Trace)
 // Forensics. With a trace it opens "ids.extract" and "ids.score" spans
 // and returns the edge set, copied into the trace's own storage, and
 // the per-cluster distances. The Detection and the metrics accounting
-// are identical either way (Detect is DetectExplainInto), so a traced
-// replay reconciles exactly with an untraced one. The FrameTrace must
+// are identical either way (Detect and DetectExplainInto return the
+// same Detection), so a traced replay reconciles exactly with an
+// untraced one. The FrameTrace must
 // be owned by the calling goroutine.
 func (c *Composite) VoltageVerdictTraced(frame *canbus.ExtendedFrame, tr analog.Trace, ft *tracing.FrameTrace) (core.Detection, Forensics, error) {
 	model := c.models.AcquireModel()

@@ -46,6 +46,17 @@ const cholStackDim = 64
 // a sum of squares the result is non-negative by construction, so no
 // clamping is needed.
 func MahalanobisSqChol(x, mean Vector, f *CholFactor) float64 {
+	q, _ := MahalanobisSqCholWithin(x, mean, f, math.Inf(1))
+	return q
+}
+
+// MahalanobisSqCholWithin is MahalanobisSqChol that gives up early: it
+// returns the partial sum and false at the first row where the running
+// Σ y² exceeds limit. Every term is a square, so the running sum never
+// decreases and the full sum would exceed limit too. A NaN sum never
+// exceeds limit, and nothing exceeds +Inf: with limit +Inf this is
+// MahalanobisSqChol, row for row and bit for bit.
+func MahalanobisSqCholWithin(x, mean Vector, f *CholFactor, limit float64) (float64, bool) {
 	n := f.N
 	mustSameLen(len(x), n)
 	mustSameLen(len(mean), n)
@@ -64,12 +75,10 @@ func MahalanobisSqChol(x, mean Vector, f *CholFactor) float64 {
 		yj := s / f.Data[row+j]
 		y[j] = yj
 		q += yj * yj
+		if q > limit {
+			return q, false
+		}
 		row += j + 1
 	}
-	return q
-}
-
-// MahalanobisChol is the Mahalanobis distance via the Cholesky factor.
-func MahalanobisChol(x, mean Vector, f *CholFactor) float64 {
-	return math.Sqrt(MahalanobisSqChol(x, mean, f))
+	return q, true
 }

@@ -39,8 +39,16 @@ func TestMahalanobisCholMatchesInverse(t *testing.T) {
 				t.Fatalf("n=%d trial %d: squared distance %v via Cholesky, %v via inverse (diff %g)",
 					n, trial, got, want, got-want)
 			}
-			if d := math.Abs(MahalanobisChol(x, mean, fac) - Mahalanobis(x, mean, inv)); d > 1e-8*math.Max(1, math.Sqrt(want)) {
+			if d := math.Abs(math.Sqrt(got) - Mahalanobis(x, mean, inv)); d > 1e-8*math.Max(1, math.Sqrt(want)) {
 				t.Fatalf("n=%d trial %d: distance diff %g", n, trial, d)
+			}
+			// Bounded at its own result the solve finishes; bounded
+			// below it, it stops with a partial sum past the bound.
+			if q, done := MahalanobisSqCholWithin(x, mean, fac, got); !done || q != got {
+				t.Fatalf("n=%d trial %d: within %v: %v, %v", n, trial, got, q, done)
+			}
+			if q, done := MahalanobisSqCholWithin(x, mean, fac, got/2); done || q <= got/2 {
+				t.Fatalf("n=%d trial %d: within %v: %v, %v", n, trial, got/2, q, done)
 			}
 		}
 		// At the mean both paths must agree on (near) zero.
