@@ -417,8 +417,8 @@ func BenchmarkTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateLatency measures Algorithm 4 per edge set (the
-// Sherman-Morrison inverse maintenance).
+// BenchmarkUpdateLatency measures Algorithm 4 per edge set (Eq. 5.1 on
+// the covariance and the rank-1 update of its Cholesky factor).
 func BenchmarkUpdateLatency(b *testing.B) {
 	_, cfg, model, traces := benchFixture(b)
 	var samples []core.Sample

@@ -203,9 +203,6 @@ func measure(records, repeat, batch, procs int) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	// Factor the model once up front: every session's model store
-	// calls Precompute, and concurrent lone sessions share this model.
-	model.Precompute()
 	tmp, err := os.MkdirTemp("", "replaybench")
 	if err != nil {
 		return Report{}, err

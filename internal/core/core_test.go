@@ -144,7 +144,7 @@ func TestTrainByLUT(t *testing.T) {
 		if len(c.SAs) != 2 {
 			t.Fatalf("cluster %d has SAs %v", c.ID, c.SAs)
 		}
-		if c.InvCov == nil || c.Cov == nil {
+		if c.chol == nil || c.Cov == nil {
 			t.Fatalf("cluster %d missing covariance", c.ID)
 		}
 		if c.MaxDist <= 0 {
@@ -186,21 +186,28 @@ func TestDetectLegitimateTraffic(t *testing.T) {
 	}
 }
 
-// TestDetectAllocFree pins Detect at zero allocations per call. Detect
+// TestDetectAllocFree pins Detect at zero allocations per call, on a
+// trained model and on the same model after an online Update. Detect
 // shares Algorithm 3 with DetectExplainInto but keeps no distances, so
 // the untraced replay path pays nothing for sharing it.
 func TestDetectAllocFree(t *testing.T) {
 	m, ecus, rng := trainTest(t, Mahalanobis, TrainConfig{TargetClusters: 4})
 	ok, forged := ecus[1].sample(rng), ecus[2].sample(rng)
 	forged.SA = ok.SA
-	for _, s := range []Sample{ok, forged} {
-		want, _ := m.DetectExplain(s.SA, s.Set)
-		var got Detection
-		if allocs := testing.AllocsPerRun(100, func() { got = m.Detect(s.SA, s.Set) }); allocs != 0 {
-			t.Fatalf("Detect allocates %.0f times per call, want 0", allocs)
-		}
-		if got != want {
-			t.Fatalf("Detect %+v, DetectExplain %+v", got, want)
+	updated, _, _ := trainTest(t, Mahalanobis, TrainConfig{TargetClusters: 4})
+	if _, err := updated.Update(trainingData(rng, ecus, 5)); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Model{m, updated} {
+		for _, s := range []Sample{ok, forged} {
+			want, _ := m.DetectExplain(s.SA, s.Set)
+			var got Detection
+			if allocs := testing.AllocsPerRun(100, func() { got = m.Detect(s.SA, s.Set) }); allocs != 0 {
+				t.Fatalf("Detect allocates %.0f times per call, want 0", allocs)
+			}
+			if got != want {
+				t.Fatalf("Detect %+v, DetectExplain %+v", got, want)
+			}
 		}
 	}
 }
@@ -387,6 +394,10 @@ func TestUpdateFoldsNewSamples(t *testing.T) {
 	}
 }
 
+// TestUpdateKeepsInverseConsistent checks the scoring state Update
+// maintains: after 100 rank-1 updates the cluster's Cholesky factor
+// must score like a fresh factorisation of the updated covariance, and
+// so must the model after a Save/Load round trip, which refactors it.
 func TestUpdateKeepsInverseConsistent(t *testing.T) {
 	m, ecus, rng := trainTest(t, Mahalanobis, TrainConfig{TargetClusters: 4})
 	var fresh []Sample
@@ -397,21 +408,28 @@ func TestUpdateKeepsInverseConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := m.ClusterForSA(ecus[1].sas[0])
-	// InvCov maintained by Sherman-Morrison must match a direct
-	// inversion of the updated covariance.
-	direct, err := c.Cov.Inverse()
+	direct, err := linalg.PackCholesky(c.Cov)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var maxDiff float64
-	for i := range direct.Data {
-		if d := math.Abs(direct.Data[i] - c.InvCov.Data[i]); d > maxDiff {
-			maxDiff = d
-		}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	scale := direct.SymmetricMaxAbs()
-	if maxDiff > 1e-6*scale {
-		t.Fatalf("incremental inverse off by %g (scale %g)", maxDiff, scale)
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := loaded.Clusters[c.ID]
+	for trial := 0; trial < 100; trial++ {
+		set := ecus[trial%len(ecus)].sample(rng).Set
+		want := math.Sqrt(linalg.MahalanobisSqChol(set, c.Mean, direct))
+		for name, got := range map[string]float64{"maintained": m.Distance(c, set), "reloaded": loaded.Distance(lc, set)} {
+			if math.Abs(got-want) > 1e-12*want {
+				t.Fatalf("trial %d: %s factor scores %v, a fresh factorisation %v (rel diff %g)",
+					trial, name, got, want, math.Abs(got-want)/want)
+			}
+		}
 	}
 }
 

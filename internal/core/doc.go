@@ -6,7 +6,7 @@
 //     them, either through a known SA→ECU lookup table (the
 //     "fortunate" case) or by agglomerative distance clustering of
 //     per-SA means; store each cluster's mean, covariance matrix (for
-//     the Mahalanobis metric), inverse covariance and maximum
+//     the Mahalanobis metric, with its Cholesky factor) and maximum
 //     intra-cluster distance.
 //
 //   - Detection (Algorithm 3): map the claimed source address to its
@@ -17,9 +17,8 @@
 //
 //   - Online model update (Algorithm 4 / Equation 5.1): fold new edge
 //     sets into a cluster's count, mean, covariance and maximum
-//     distance without retraining, maintaining the inverse covariance
-//     incrementally with a Sherman-Morrison rank-1 update so detection
-//     latency is unaffected.
+//     distance without retraining, keeping the Cholesky factor current
+//     with a rank-1 update so detection stays on the same path.
 //
 // Both distance metrics of Section 2.2.2 are supported; the paper's
 // headline results use Mahalanobis distance, with Euclidean retained

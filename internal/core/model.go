@@ -51,12 +51,16 @@ type Cluster struct {
 	ID   ClusterID
 	SAs  []canbus.SourceAddress // source addresses this ECU transmits
 	Mean linalg.Vector
-	// Cov and InvCov are populated for the Mahalanobis metric; both
-	// stay nil under Euclidean where Σ is implicitly the identity.
+	// Cov is populated for the Mahalanobis metric; it stays nil under
+	// Euclidean where Σ is implicitly the identity.
 	Cov     *linalg.Matrix
-	InvCov  *linalg.Matrix
 	MaxDist float64 // largest training-sample distance to the mean
 	N       int     // number of edge sets folded into the statistics
+
+	// chol is the packed Cholesky factor of Cov, the cluster's one
+	// Mahalanobis scoring state: Train and Load build it, Update keeps
+	// it current alongside Cov, and it is never serialised.
+	chol *linalg.CholFactor
 }
 
 // Model is a trained vProfile instance: the cluster↔SA lookup table,
@@ -77,11 +81,6 @@ type Model struct {
 	// beyond which online updates have negligible effect and a full
 	// retrain is recommended. Zero disables the recommendation.
 	UpdateBound int
-
-	// chol is the precomputed per-cluster Cholesky scoring state (see
-	// Precompute): derived from the covariances, never serialised, nil
-	// until Precompute runs or after Update invalidates it.
-	chol []*linalg.CholFactor
 }
 
 // Cluster returns the cluster with the given id.
@@ -102,33 +101,27 @@ func (m *Model) ClusterForSA(sa canbus.SourceAddress) (*Cluster, error) {
 }
 
 // Distance returns the distance from an edge set to the cluster under
-// the model's metric. With a precomputed factor (Precompute) the
-// Mahalanobis case runs a triangular solve over the packed Cholesky
-// factor — no inverse multiply, no allocation; without one it falls
-// back to the inverse-covariance form. Train and Load precompute, so
-// every trained or deserialised model takes the fast path, and the
-// threshold (MaxDist) and detection distances always come from the
-// same arithmetic.
+// the model's metric. The Mahalanobis case runs a triangular solve over
+// the cluster's packed Cholesky factor — no inverse, no allocation — so
+// the threshold (MaxDist) and detection distances always come from the
+// same arithmetic, before and after an online update.
 func (m *Model) Distance(c *Cluster, set linalg.Vector) float64 {
 	d, _ := m.distanceWithin(c, set, math.Inf(1))
 	return d
 }
 
-// distanceWithin is Distance that may stop early. A cluster scored
-// through its Cholesky factor is a running sum of squares: it reports
-// false at the first row where that sum exceeds limit, which the full
-// sum would exceed too. Every other cluster (no factor, or the
-// Euclidean metric) is scored in full. With limit +Inf it is Distance.
+// distanceWithin is Distance that may stop early. A Mahalanobis
+// distance is a running sum of squares: it reports false at the first
+// row where that sum exceeds limit, which the full sum would exceed
+// too. A Euclidean distance is scored in full. With limit +Inf it is
+// Distance.
 func (m *Model) distanceWithin(c *Cluster, set linalg.Vector, limit float64) (float64, bool) {
 	if len(set) != m.Dim {
 		panic(ErrDimMismatch)
 	}
 	if m.Metric == Mahalanobis {
-		if f := m.cholFor(c); f != nil {
-			q, done := linalg.MahalanobisSqCholWithin(set, c.Mean, f, limit)
-			return math.Sqrt(q), done
-		}
-		return linalg.Mahalanobis(set, c.Mean, c.InvCov), true
+		q, done := linalg.MahalanobisSqCholWithin(set, c.Mean, c.chol, limit)
+		return math.Sqrt(q), done
 	}
 	return linalg.Euclidean(set, c.Mean), true
 }
@@ -202,9 +195,11 @@ type modelWire struct {
 }
 
 type clusterWire struct {
-	SAs     []uint8
-	Mean    []float64
-	Cov     []float64 // Dim×Dim row-major, empty for Euclidean
+	SAs  []uint8
+	Mean []float64
+	Cov  []float64 // Dim×Dim row-major, empty for Euclidean
+	// InvCov is written only by older builds. Load checks its shape
+	// and ignores it: the Cholesky factor of Cov is the scoring state.
 	InvCov  []float64
 	MaxDist float64
 	N       int
@@ -217,13 +212,18 @@ func (cw *clusterWire) check(metric Metric, dim int) error {
 	if len(cw.Mean) != dim {
 		return fmt.Errorf("mean has %d values, want %d", len(cw.Mean), dim)
 	}
+	if cw.N < 0 {
+		// Update's Eq. 5.1 weights would turn negative.
+		return fmt.Errorf("edge-set count %d is negative", cw.N)
+	}
 	// dim equals a decoded slice length here, so dim*dim cannot
-	// overflow.
+	// overflow. The inverse is optional: only older builds write it.
 	for _, mat := range [...]struct {
-		name string
-		data []float64
-	}{{"covariance", cw.Cov}, {"inverse covariance", cw.InvCov}} {
-		if len(mat.data) == 0 && metric == Euclidean {
+		name     string
+		data     []float64
+		optional bool
+	}{{"covariance", cw.Cov, metric == Euclidean}, {"inverse covariance", cw.InvCov, true}} {
+		if len(mat.data) == 0 && mat.optional {
 			continue
 		}
 		if len(mat.data) != dim*dim {
@@ -256,9 +256,6 @@ func (m *Model) Save(w io.Writer) error {
 		if c.Cov != nil {
 			cw.Cov = c.Cov.Data
 		}
-		if c.InvCov != nil {
-			cw.InvCov = c.InvCov.Data
-		}
 		wire.Clusters = append(wire.Clusters, cw)
 	}
 	return gob.NewEncoder(w).Encode(wire)
@@ -266,8 +263,11 @@ func (m *Model) Save(w io.Writer) error {
 
 // Load deserialises a model previously written by Save. Model files
 // are external input, so a payload whose metric, dimension or cluster
-// shapes are inconsistent fails with ErrModelFormat instead of
-// panicking later in scoring.
+// shapes are inconsistent, or whose Mahalanobis covariance will not
+// factor (ErrSingularCov), fails with ErrModelFormat instead of
+// panicking or scoring nonsense later. Covariances round-trip
+// bit-exactly and the factorisation is deterministic, so a loaded model
+// scores identically to a never-updated model that was saved.
 func Load(r io.Reader) (*Model, error) {
 	head := make([]byte, len(modelMagic)+1)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -308,8 +308,12 @@ func Load(r io.Reader) (*Model, error) {
 		if len(cw.Cov) > 0 {
 			c.Cov = &linalg.Matrix{Rows: wire.Dim, Cols: wire.Dim, Data: cw.Cov}
 		}
-		if len(cw.InvCov) > 0 {
-			c.InvCov = &linalg.Matrix{Rows: wire.Dim, Cols: wire.Dim, Data: cw.InvCov}
+		if wire.Metric == Mahalanobis {
+			f, err := linalg.PackCholesky(c.Cov)
+			if err != nil {
+				return nil, fmt.Errorf("%w: cluster %d: %w", ErrModelFormat, i, ErrSingularCov)
+			}
+			c.chol = f
 		}
 		m.Clusters = append(m.Clusters, c)
 	}
@@ -318,10 +322,5 @@ func Load(r io.Reader) (*Model, error) {
 			return nil, fmt.Errorf("core: model LUT maps SA %#02x to cluster %d of %d", uint8(sa), id, len(m.Clusters))
 		}
 	}
-	// The scoring factors are derived state: recompute rather than
-	// serialise them. Covariances round-trip bit-exactly and the
-	// factorisation is deterministic, so a loaded model scores
-	// identically to the model that was saved.
-	m.Precompute()
 	return m, nil
 }

@@ -78,9 +78,10 @@ func TestLoadRejectsOutOfRangeLUT(t *testing.T) {
 }
 
 // TestLoadRejectsMalformedShapes feeds Load payloads whose dimension
-// or cluster statistics disagree. Each must fail with ErrModelFormat:
-// a short covariance used to panic inside Load, and the others loaded
-// cleanly and panicked at the first Detect.
+// or cluster statistics disagree, or whose covariance will not factor.
+// Each must fail with ErrModelFormat: a short covariance used to panic
+// inside Load, the shape cases loaded cleanly and panicked at the first
+// Detect, and the unfactorable ones scored through the file's inverse.
 func TestLoadRejectsMalformedShapes(t *testing.T) {
 	base := func() modelWire {
 		return modelWire{
@@ -112,6 +113,7 @@ func TestLoadRejectsMalformedShapes(t *testing.T) {
 		{"negative dimension", func(w *modelWire) { w.Dim = -2 }},
 		{"mahalanobis without covariance", func(w *modelWire) { w.Clusters[0].Cov, w.Clusters[0].InvCov = nil, nil }},
 		{"unknown metric", func(w *modelWire) { w.Metric = 7 }},
+		{"negative count", func(w *modelWire) { w.Clusters[0].N = -3 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,6 +127,71 @@ func TestLoadRejectsMalformedShapes(t *testing.T) {
 				t.Fatal("malformed load returned a model")
 			}
 		})
+	}
+
+	// A well-shaped covariance that will not factor. The file carries
+	// a well-shaped inverse, which Load must not score through instead.
+	for name, cov := range map[string][]float64{
+		"zero covariance":       {0, 0, 0, 0},
+		"indefinite covariance": {1, 2, 2, 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			wire := base()
+			wire.Clusters[0].Cov = cov
+			m, err := Load(bytes.NewReader(encodeWire(t, wire)))
+			if !errors.Is(err, ErrModelFormat) || !errors.Is(err, ErrSingularCov) {
+				t.Fatalf("Load err = %v, want ErrModelFormat wrapping ErrSingularCov", err)
+			}
+			if m != nil {
+				t.Fatal("unfactorable load returned a model")
+			}
+		})
+	}
+}
+
+// TestLoadIgnoresStoredInverse loads a model file the way older builds
+// wrote it, with every cluster's inverse covariance alongside its
+// covariance. It must load, and score bit-identically to the same model
+// saved by this build, which writes no inverse.
+func TestLoadIgnoresStoredInverse(t *testing.T) {
+	m, ecus, rng := trainTest(t, Mahalanobis, TrainConfig{TargetClusters: 4, Margin: 1})
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	var wire modelWire
+	if err := gob.NewDecoder(bytes.NewReader(saved[len(modelMagic)+1:])).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	for i := range wire.Clusters {
+		if wire.Clusters[i].InvCov != nil {
+			t.Fatalf("Save wrote cluster %d's inverse covariance", i)
+		}
+		inv, err := m.Clusters[i].Cov.Inverse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.Clusters[i].InvCov = inv.Data
+	}
+	old, err := Load(bytes.NewReader(encodeWire(t, wire)))
+	if err != nil {
+		t.Fatalf("file with an inverse covariance rejected: %v", err)
+	}
+	cur, err := Load(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 100; trial++ {
+		s := ecus[trial%len(ecus)].sample(rng)
+		if got, want := old.Detect(s.SA, s.Set), cur.Detect(s.SA, s.Set); got != want {
+			t.Fatalf("trial %d: file with inverse detects %+v, without %+v", trial, got, want)
+		}
+		for i, c := range cur.Clusters {
+			if got, want := old.Distance(old.Clusters[i], s.Set), cur.Distance(c, s.Set); got != want {
+				t.Fatalf("trial %d cluster %d: file with inverse scores %v, without %v", trial, i, got, want)
+			}
+		}
 	}
 }
 

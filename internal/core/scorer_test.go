@@ -2,82 +2,14 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// TestDistancePrecomputedMatchesFallback pins the precomputed Cholesky
-// scoring path against the inverse-covariance fallback on a trained
-// model: clearing the factors must not change any distance beyond
-// floating-point noise, near the mean or far from it.
-func TestDistancePrecomputedMatchesFallback(t *testing.T) {
-	m, ecus, rng := trainTest(t, Mahalanobis, TrainConfig{Ridge: 1e-6})
-	if m.chol == nil {
-		t.Fatal("trained Mahalanobis model has no precomputed factors")
-	}
-	for _, c := range m.Clusters {
-		if m.cholFor(c) == nil {
-			t.Fatalf("cluster %d has no factor", c.ID)
-		}
-	}
-	for trial := 0; trial < 200; trial++ {
-		s := ecus[trial%len(ecus)].sample(rng)
-		c, err := m.ClusterForSA(s.SA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast := m.Distance(c, s.Set)
-		saved := m.chol
-		m.chol = nil
-		slow := m.Distance(c, s.Set)
-		m.chol = saved
-		if tol := 1e-8 * math.Max(1, slow); math.Abs(fast-slow) > tol {
-			t.Fatalf("trial %d: Cholesky distance %v, inverse-covariance %v (diff %g)",
-				trial, fast, slow, fast-slow)
-		}
-	}
-}
-
-// TestUpdateInvalidatesPrecompute verifies Update drops the factors
-// (they were derived from the covariances it mutates) and that the
-// fallback path then serves consistent distances until Precompute
-// re-establishes the fast path.
-func TestUpdateInvalidatesPrecompute(t *testing.T) {
-	m, ecus, rng := trainTest(t, Mahalanobis, TrainConfig{Ridge: 1e-6})
-	if m.chol == nil {
-		t.Fatal("trained model not precomputed")
-	}
-	var batch []Sample
-	for i := 0; i < 10; i++ {
-		batch = append(batch, ecus[0].sample(rng))
-	}
-	if _, err := m.Update(batch); err != nil {
-		t.Fatal(err)
-	}
-	if m.chol != nil {
-		t.Fatal("Update left stale precomputed factors in place")
-	}
-	s := ecus[0].sample(rng)
-	c, err := m.ClusterForSA(s.SA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := m.Distance(c, s.Set)
-	m.Precompute()
-	if m.chol == nil {
-		t.Fatal("Precompute after Update did not rebuild factors")
-	}
-	fast := m.Distance(c, s.Set)
-	if tol := 1e-8 * math.Max(1, slow); math.Abs(fast-slow) > tol {
-		t.Fatalf("post-update distance %v precomputed vs %v fallback (diff %g)", fast, slow, fast-slow)
-	}
-}
-
 // TestLoadScoresIdentically round-trips a model through Save/Load and
 // requires bit-identical distances: the covariances serialise exactly
-// and Load's Precompute is deterministic, so a deserialised model must
-// score exactly like the one that was saved.
+// and Load's factorisation is deterministic, so a deserialised model
+// must score exactly like the one that was saved.
 func TestLoadScoresIdentically(t *testing.T) {
 	m, ecus, _ := trainTest(t, Mahalanobis, TrainConfig{Ridge: 1e-6})
 	var buf bytes.Buffer
@@ -88,8 +20,10 @@ func TestLoadScoresIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.chol == nil {
-		t.Fatal("Load did not precompute scoring factors")
+	for _, c := range loaded.Clusters {
+		if c.chol == nil {
+			t.Fatalf("Load did not factor cluster %d", c.ID)
+		}
 	}
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 100; trial++ {

@@ -36,7 +36,7 @@ type TrainConfig struct {
 	Margin float64
 
 	// Ridge, when positive, is added to the covariance diagonal before
-	// inversion. Zero keeps the paper's behaviour where degenerate
+	// factoring. Zero keeps the paper's behaviour where degenerate
 	// (low-resolution) data surfaces ErrSingularCov.
 	Ridge float64
 
@@ -79,22 +79,20 @@ func Train(samples []Sample, cfg TrainConfig) (*Model, error) {
 			if cfg.Ridge > 0 {
 				cov = cov.AddScaledIdentity(cfg.Ridge)
 			}
-			inv, err := cov.Inverse()
+			f, err := linalg.PackCholesky(cov)
 			if err != nil {
 				return nil, fmt.Errorf("%w: cluster %d (SAs %v): %v", ErrSingularCov, i, g.sas, err)
 			}
 			c.Cov = cov
-			c.InvCov = inv
+			c.chol = f
 		}
 		m.Clusters = append(m.Clusters, c)
 		for _, sa := range g.sas {
 			m.SALUT[sa] = c.ID
 		}
 	}
-	// Precompute BEFORE the threshold pass: MaxDist must come from the
-	// same arithmetic detection will use, or training samples could sit
-	// epsilon outside their own cluster's threshold.
-	m.Precompute()
+	// MaxDist comes from the same factor detection scores through, so
+	// no training sample sits epsilon outside its own threshold.
 	for i, g := range groups {
 		c := m.Clusters[i]
 		for _, s := range g.sets {

@@ -19,22 +19,16 @@ type UpdateResult struct {
 // Update implements Algorithm 4 (the Section 5.3 online model update):
 // new edge sets are grouped through the cluster-SA lookup table, and
 // each cluster's edge-set count, mean, covariance (Equation 5.1),
-// inverse covariance and maximum distance are updated per sample.
+// Cholesky factor and maximum distance are updated per sample.
 //
-// The inverse covariance is maintained with a Sherman-Morrison rank-1
-// update rather than re-inversion, keeping the per-sample cost at
-// O(dim²). Samples with unknown SAs are skipped and counted — the
-// caller should only feed messages the detector accepted.
-//
-// Update invalidates the precomputed Cholesky scoring state (it
-// mutates the covariances the factors were derived from), so distances
-// fall back to the maintained inverse covariance — consistently for
-// both the per-sample MaxDist maintenance below and any detection that
-// follows. Call Precompute before serving the updated model on the hot
-// path (engine.ModelStore.Swap does this when the model is published).
+// Equation 5.1 scales the covariance and adds a positive rank-1 term,
+// so the factor follows by a rank-1 Cholesky update rather than a
+// refactorisation, keeping the per-sample cost at O(dim²), and the
+// updated model scores on the same path as before. Samples with unknown
+// SAs are skipped and counted — the caller should only feed messages
+// the detector accepted.
 func (m *Model) Update(samples []Sample) (UpdateResult, error) {
 	var res UpdateResult
-	m.chol = nil
 	for _, s := range samples {
 		if len(s.Set) != m.Dim {
 			return res, fmt.Errorf("%w: got %d dims, want %d", ErrDimMismatch, len(s.Set), m.Dim)
@@ -44,9 +38,7 @@ func (m *Model) Update(samples []Sample) (UpdateResult, error) {
 			res.Skipped++
 			continue
 		}
-		if err := m.Clusters[id].push(m, s.Set); err != nil {
-			return res, fmt.Errorf("core: updating cluster %d: %w", id, err)
-		}
+		m.Clusters[id].push(m, s.Set)
 		res.Applied++
 	}
 	if m.UpdateBound > 0 {
@@ -60,7 +52,7 @@ func (m *Model) Update(samples []Sample) (UpdateResult, error) {
 }
 
 // push folds one edge set into the cluster statistics.
-func (c *Cluster) push(m *Model, set linalg.Vector) error {
+func (c *Cluster) push(m *Model, set linalg.Vector) {
 	nPrev := float64(c.N)
 	c.N++
 	n := float64(c.N)
@@ -71,17 +63,17 @@ func (c *Cluster) push(m *Model, set linalg.Vector) error {
 		c.Mean[i] += d[i] / n
 	}
 
-	if m.Metric == Mahalanobis && c.Cov != nil {
+	if m.Metric == Mahalanobis {
 		// Equation 5.1 in N-normalised form:
 		//   Σ_n = (N_{n−1}/N_n)·Σ_{n−1} + ((n−1)/n²)·d·dᵀ
-		// which is a scale plus a symmetric rank-1 update, so the
-		// inverse follows by Sherman-Morrison.
+		// which is a scale plus a positive rank-1 update, so the
+		// factor follows by a rank-1 Cholesky update.
 		alpha := nPrev / n
 		beta := nPrev / (n * n)
 		if nPrev == 0 {
-			// First sample of a cluster trained empty: covariance
-			// stays zero; nothing to invert.
-			return nil
+			// First sample of a cluster loaded empty: α = 0 would
+			// scale the factor to singular, so both stay as they are.
+			return
 		}
 		dim := m.Dim
 		for i := 0; i < dim; i++ {
@@ -89,23 +81,10 @@ func (c *Cluster) push(m *Model, set linalg.Vector) error {
 				c.Cov.Data[i*dim+j] = alpha*c.Cov.Data[i*dim+j] + beta*d[i]*d[j]
 			}
 		}
-		if c.InvCov != nil {
-			// inv(α·Σ) = invΣ/α, then rank-1 correct with u = β·d, v = d.
-			c.InvCov.ScaleInPlace(1 / alpha)
-			if err := linalg.ShermanMorrisonUpdate(c.InvCov, d.Scale(beta), d); err != nil {
-				// Fall back to a full inversion; the covariance itself
-				// may still be well conditioned.
-				inv, ierr := c.Cov.Inverse()
-				if ierr != nil {
-					return ErrSingularCov
-				}
-				c.InvCov = inv
-			}
-		}
+		c.chol.Rank1Update(alpha, beta, d)
 	}
 
 	if dist := m.Distance(c, set); dist > c.MaxDist {
 		c.MaxDist = dist
 	}
-	return nil
 }

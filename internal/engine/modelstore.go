@@ -66,16 +66,11 @@ type ModelStore struct {
 	listeners []func(StoredModel)
 }
 
-// NewModelStore holds the initial model as version 1. The model's
-// scoring factors are precomputed before it is published: the store is
-// the serving boundary, and once the pointer lands verdict goroutines
-// may read the model concurrently, so this is the last safe point to
-// mutate derived state.
+// NewModelStore holds the initial model as version 1.
 func NewModelStore(m *core.Model) (*ModelStore, error) {
 	if m == nil {
 		return nil, fmt.Errorf("engine: nil model")
 	}
-	m.Precompute()
 	s := &ModelStore{}
 	s.cur.Store(&StoredModel{Model: m, Version: 1})
 	return s, nil
@@ -105,11 +100,6 @@ func (s *ModelStore) Swap(m *core.Model) (int, error) {
 		return 0, fmt.Errorf("engine: swap rejected: model dimension %d does not match running dimension %d",
 			m.Dim, old.Model.Dim)
 	}
-	// Precompute the scoring factors before the pointer is published:
-	// after the Store below the model is shared with verdict goroutines
-	// and must not be mutated. This also re-establishes the fast path
-	// for models that went through core.Update (which invalidates it).
-	m.Precompute()
 	next := StoredModel{Model: m, Version: old.Version + 1}
 	s.cur.Store(&next)
 	for _, fn := range s.listeners {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"vprofile/internal/analog"
 	"vprofile/internal/core"
@@ -150,17 +151,17 @@ func perECUStats(byECU [][]linalg.Vector) ([]ECUStats, error) {
 			}
 			sdSum += stats.StdDev(col)
 		}
-		cov := linalg.Covariance(sets)
-		inv, err := cov.Inverse()
+		f, err := linalg.PackCholesky(linalg.Covariance(sets))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ECU %d covariance: %w", ecu, err)
 		}
-		var maxDist float64
+		var maxSq float64
 		for _, s := range sets {
-			if d := linalg.Mahalanobis(s, mean, inv); d > maxDist {
-				maxDist = d
+			if q := linalg.MahalanobisSqChol(s, mean, f); q > maxSq {
+				maxSq = q
 			}
 		}
+		maxDist := math.Sqrt(maxSq)
 		out[ecu] = ECUStats{StdDev: sdSum / float64(dim), MaxDist: maxDist}
 	}
 	return out, nil

@@ -181,8 +181,8 @@ func RunQuotient(n int, seed int64) (*QuotientResult, error) {
 	res := &QuotientResult{
 		EuclideanTo0:   linalg.Euclidean(test.Set, c0.Mean),
 		EuclideanTo1:   linalg.Euclidean(test.Set, c1.Mean),
-		MahalanobisTo0: linalg.Mahalanobis(test.Set, c0.Mean, c0.InvCov),
-		MahalanobisTo1: linalg.Mahalanobis(test.Set, c1.Mean, c1.InvCov),
+		MahalanobisTo0: model.Distance(c0, test.Set),
+		MahalanobisTo1: model.Distance(c1, test.Set),
 		Means:          []linalg.Vector{c0.Mean, c1.Mean},
 		TestSet:        test.Set,
 	}

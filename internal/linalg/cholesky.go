@@ -82,3 +82,35 @@ func MahalanobisSqCholWithin(x, mean Vector, f *CholFactor, limit float64) (floa
 	}
 	return q, true
 }
+
+// Rank1Update makes f the factor of α·L·Lᵀ + β·x·xᵀ in place, for
+// α > 0 and β ≥ 0: it scales L by √α, then folds √β·x in by the Givens
+// rotations of LINPACK's dchud, in O(N²) and without forming Σ or its
+// inverse. A positive update of a positive-definite matrix stays
+// positive definite, so it cannot fail. The walk is row by row over
+// the packed layout: row i first takes the rotations of the rows above
+// it, then defines its own from its diagonal.
+func (f *CholFactor) Rank1Update(alpha, beta float64, x Vector) {
+	n := f.N
+	mustSameLen(len(x), n)
+	var cStack, sStack [cholStackDim]float64
+	c, s := cStack[:], sStack[:]
+	if n > cholStackDim {
+		c, s = make([]float64, n), make([]float64, n)
+	}
+	sa, sb := math.Sqrt(alpha), math.Sqrt(beta)
+	row := 0 // offset of packed row i = i(i+1)/2
+	for i := 0; i < n; i++ {
+		xi := sb * x[i]
+		for k := 0; k < i; k++ {
+			t := sa * f.Data[row+k]
+			f.Data[row+k] = c[k]*t + s[k]*xi
+			xi = c[k]*xi - s[k]*t
+		}
+		d := sa * f.Data[row+i]
+		r := math.Hypot(d, xi)
+		c[i], s[i] = d/r, xi/r
+		f.Data[row+i] = r
+		row += i + 1
+	}
+}

@@ -92,3 +92,58 @@ func TestPackCholeskySingular(t *testing.T) {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 }
+
+// TestRank1UpdateMatchesRefactor pins Rank1Update against factoring
+// α·Σ + β·x·xᵀ afresh, including β = 0 (a pure scale) and a dimension
+// past the stack buffer.
+func TestRank1UpdateMatchesRefactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 5, 32, 80} {
+		for _, ab := range [][2]float64{{0.9, 0.1}, {1, 0}, {0.5, 3}} {
+			alpha, beta := ab[0], ab[1]
+			cov := randomSPD(rng, n)
+			x := make(Vector, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			f, err := PackCholesky(cov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Rank1Update(alpha, beta, x)
+			next := cov.Clone()
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					next.Data[i*n+j] = alpha*cov.Data[i*n+j] + beta*x[i]*x[j]
+				}
+			}
+			want, err := PackCholesky(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range want.Data {
+				if d := math.Abs(f.Data[k] - want.Data[k]); d > 1e-10*math.Max(1, math.Abs(want.Data[k])) {
+					t.Fatalf("n=%d α=%g β=%g: packed entry %d is %v, refactored %v",
+						n, alpha, beta, k, f.Data[k], want.Data[k])
+				}
+			}
+		}
+	}
+}
+
+// TestRank1UpdateAllocFree keeps Algorithm 4's per-sample factor
+// update off the heap at edge-set dimensions.
+func TestRank1UpdateAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	f, err := PackCholesky(randomSPD(rng, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make(Vector, 32)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	if allocs := testing.AllocsPerRun(50, func() { f.Rank1Update(0.99, 0.01, x) }); allocs != 0 {
+		t.Fatalf("Rank1Update allocates %.0f times per call, want 0", allocs)
+	}
+}

@@ -256,33 +256,6 @@ func swapRows(m *Matrix, i, j int) {
 	}
 }
 
-// ShermanMorrisonUpdate applies the rank-1 inverse update
-//
-//	(A + u·vᵀ)⁻¹ = A⁻¹ − (A⁻¹·u·vᵀ·A⁻¹) / (1 + vᵀ·A⁻¹·u)
-//
-// in place to inv = A⁻¹. It returns ErrSingular when the update would
-// make the matrix singular (denominator near zero). This is what lets
-// the online model update (Algorithm 4) maintain the inverse
-// covariance without a full re-inversion.
-func ShermanMorrisonUpdate(inv *Matrix, u, v Vector) error {
-	mustSameLen(inv.Rows, inv.Cols)
-	mustSameLen(inv.Rows, len(u))
-	mustSameLen(inv.Rows, len(v))
-	au := inv.MulVec(u)             // A⁻¹·u
-	va := inv.Transpose().MulVec(v) // (vᵀ·A⁻¹)ᵀ
-	den := 1 + v.Dot(au)
-	if math.Abs(den) < 1e-12 {
-		return ErrSingular
-	}
-	n := inv.Rows
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			inv.Data[i*n+j] -= au[i] * va[j] / den
-		}
-	}
-	return nil
-}
-
 // ScaleInPlace multiplies every element by s.
 func (m *Matrix) ScaleInPlace(s float64) {
 	for i := range m.Data {

@@ -144,47 +144,3 @@ func TestInverseRequiresPivoting(t *testing.T) {
 		t.Fatalf("permutation inverse wrong by %g", d)
 	}
 }
-
-func TestShermanMorrisonMatchesDirectInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(8)
-		a := randomSPD(rng, n)
-		u := make(Vector, n)
-		v := make(Vector, n)
-		for i := 0; i < n; i++ {
-			u[i] = rng.NormFloat64()
-			v[i] = rng.NormFloat64()
-		}
-		inv, err := a.Inverse()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ShermanMorrisonUpdate(inv, u, v); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		// Direct: (A + u·vᵀ)⁻¹.
-		upd := a.Clone()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				upd.Data[i*n+j] += u[i] * v[j]
-			}
-		}
-		direct, err := upd.Inverse()
-		if err != nil {
-			t.Fatalf("trial %d: direct inverse: %v", trial, err)
-		}
-		if d := maxAbsDiff(inv, direct); d > 1e-6 {
-			t.Fatalf("trial %d: Sherman-Morrison differs from direct by %g", trial, d)
-		}
-	}
-}
-
-func TestShermanMorrisonSingularUpdate(t *testing.T) {
-	inv := Identity(1) // A = I (1×1)
-	// u·vᵀ = −1 makes A + u·vᵀ = 0: denominator 1 + vᵀA⁻¹u = 0.
-	err := ShermanMorrisonUpdate(inv, Vector{1}, Vector{-1})
-	if !errors.Is(err, ErrSingular) {
-		t.Fatalf("err = %v", err)
-	}
-}
