@@ -394,6 +394,21 @@ func TestUpdateFoldsNewSamples(t *testing.T) {
 	}
 }
 
+// TestUpdateAllocFree pins Algorithm 4 at zero allocations for a
+// one-sample Update on a Mahalanobis model: the mean, covariance,
+// factor and maximum distance are all updated in place.
+func TestUpdateAllocFree(t *testing.T) {
+	m, ecus, rng := trainTest(t, Mahalanobis, TrainConfig{TargetClusters: 4})
+	one := []Sample{ecus[0].sample(rng)}
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { _, err = m.Update(one) }); allocs != 0 {
+		t.Fatalf("a one-sample Update allocates %.0f times, want 0", allocs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestUpdateKeepsInverseConsistent checks the scoring state Update
 // maintains: after 100 rank-1 updates the cluster's Cholesky factor
 // must score like a fresh factorisation of the updated covariance, and

@@ -51,14 +51,26 @@ func (m *Model) Update(samples []Sample) (UpdateResult, error) {
 	return res, nil
 }
 
+// pushStackDim bounds the difference vector push keeps on the stack;
+// edge sets have 32 dims with the paper's windows.
+const pushStackDim = 64
+
 // push folds one edge set into the cluster statistics.
 func (c *Cluster) push(m *Model, set linalg.Vector) {
 	nPrev := float64(c.N)
 	c.N++
 	n := float64(c.N)
 
-	// d = x − mean_{n−1}; mean_n = mean_{n−1} + d/n.
-	d := set.Sub(c.Mean)
+	// d = x − mean_{n−1}; mean_n = mean_{n−1} + d/n. d lives on the
+	// stack up to pushStackDim dims, so a fold allocates nothing.
+	var stack [pushStackDim]float64
+	d := linalg.Vector(stack[:0])
+	if len(set) > pushStackDim {
+		d = make(linalg.Vector, 0, len(set))
+	}
+	for i, v := range set {
+		d = append(d, v-c.Mean[i])
+	}
 	for i := range c.Mean {
 		c.Mean[i] += d[i] / n
 	}

@@ -139,12 +139,19 @@ type Scratch struct {
 	res  Result
 }
 
+// Sample is a trace element Algorithm 1 reads: a packed uint16 ADC
+// code straight from a capture record, or a float64 code from a
+// decoded or synthesized trace. Every sample is compared and copied as
+// float64(v), and a float64 holds every uint16 exactly, so a record's
+// codes and its decoded trace extract to bit-identical Results.
+type Sample interface{ uint16 | float64 }
+
 // ExtractInto is Extract over caller-owned buffers. The returned
 // Result — including its Set and Bits slices — aliases the Scratch and
 // is valid only until the next ExtractInto call with the same Scratch;
 // callers that need to retain it must copy. The arithmetic is
 // identical to Extract's, so the two produce bit-identical vectors.
-func ExtractInto(tr analog.Trace, cfg Config, s *Scratch) (*Result, error) {
+func ExtractInto[E Sample](tr []E, cfg Config, s *Scratch) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -175,7 +182,7 @@ type decodeState struct {
 // crosses and skipping stuff bits, exactly as the EXTRACT procedure of
 // Algorithm 1 does. The decoded bits are appended to buf (normally a
 // reused buffer truncated to length zero) and returned in the state.
-func walkBits(tr analog.Trace, cfg Config, lastBit int, buf canbus.BitString) (decodeState, error) {
+func walkBits[E Sample](tr []E, cfg Config, lastBit int, buf canbus.BitString) (decodeState, error) {
 	var none decodeState
 	sof := findSOF(tr, cfg.BitThreshold)
 	if sof < 0 {
@@ -244,9 +251,9 @@ func walkBits(tr analog.Trace, cfg Config, lastBit int, buf canbus.BitString) (d
 
 // findSOF returns the index of the first dominant sample — the
 // idle→dominant SOF transition — or −1 if none exists.
-func findSOF(tr analog.Trace, threshold float64) int {
+func findSOF[E Sample](tr []E, threshold float64) int {
 	for i, v := range tr {
-		if v >= threshold {
+		if float64(v) >= threshold {
 			return i
 		}
 	}
@@ -255,8 +262,8 @@ func findSOF(tr analog.Trace, threshold float64) int {
 
 // bitAt applies the GetBitValue rule: at or above the threshold the
 // bus is dominant ('0'), below it recessive ('1').
-func bitAt(tr analog.Trace, pos int, threshold float64) canbus.Bit {
-	if tr[pos] >= threshold {
+func bitAt[E Sample](tr []E, pos int, threshold float64) canbus.Bit {
+	if float64(tr[pos]) >= threshold {
 		return canbus.Dominant
 	}
 	return canbus.Recessive
@@ -266,7 +273,7 @@ func bitAt(tr analog.Trace, pos int, threshold float64) canbus.Bit {
 // polarity change observed at pos by scanning backwards up to a little
 // over one bit width. It returns the crossing index (first sample on
 // the new polarity) or −1.
-func alignToEdgeCentre(tr analog.Trace, pos int, cfg Config) int {
+func alignToEdgeCentre[E Sample](tr []E, pos int, cfg Config) int {
 	cur := bitAt(tr, pos, cfg.BitThreshold)
 	limit := pos - cfg.BitWidth - cfg.BitWidth/2
 	if limit < 0 {
@@ -286,7 +293,7 @@ func alignToEdgeCentre(tr analog.Trace, pos int, cfg Config) int {
 // the first window. The returned vector is s.set, resized and reused;
 // the averaging divides in place by the same factor the allocating
 // path used, so the values are bit-identical.
-func extractSetsInto(tr analog.Trace, pos int, cfg Config, s *Scratch) (linalg.Vector, int, error) {
+func extractSetsInto[E Sample](tr []E, pos int, cfg Config, s *Scratch) (linalg.Vector, int, error) {
 	n := cfg.numSets()
 	dim := cfg.Dim()
 	if cap(s.set) < dim {
@@ -329,15 +336,15 @@ func extractSetsInto(tr analog.Trace, pos int, cfg Config, s *Scratch) (linalg.V
 // a bit and to the next falling crossing, window that, and
 // concatenate. The window is appended to out (normally a reused buffer
 // truncated to length zero).
-func extractOneSetInto(tr analog.Trace, pos int, cfg Config, out linalg.Vector) (linalg.Vector, int, error) {
+func extractOneSetInto[E Sample](tr []E, pos int, cfg Config, out linalg.Vector) (linalg.Vector, int, error) {
 	th := cfg.BitThreshold
 	// If we start inside a dominant stretch, first reach recessive so
 	// the next crossing is genuinely a rising edge.
-	for pos < len(tr) && tr[pos] >= th {
+	for pos < len(tr) && float64(tr[pos]) >= th {
 		pos++
 	}
 	// Rising edge: first sample at or above the threshold.
-	for pos < len(tr) && tr[pos] < th {
+	for pos < len(tr) && float64(tr[pos]) < th {
 		pos++
 	}
 	if pos >= len(tr) || pos-cfg.PrefixLen < 0 || pos+cfg.SuffixLen > len(tr) {
@@ -345,7 +352,7 @@ func extractOneSetInto(tr analog.Trace, pos int, cfg Config, out linalg.Vector) 
 	}
 	setAt := pos - cfg.PrefixLen
 	if cfg.Edges != EdgesFalling {
-		out = append(out, tr[pos-cfg.PrefixLen:pos+cfg.SuffixLen]...)
+		out = appendWindow(out, tr[pos-cfg.PrefixLen:pos+cfg.SuffixLen])
 	}
 	if cfg.Edges == EdgesRising {
 		return out, setAt, nil
@@ -354,14 +361,23 @@ func extractOneSetInto(tr analog.Trace, pos int, cfg Config, out linalg.Vector) 
 	// Falling edge: step into the dominant region, then take the first
 	// sample below the threshold.
 	pos += cfg.BitWidth / 2
-	for pos < len(tr) && tr[pos] >= th {
+	for pos < len(tr) && float64(tr[pos]) >= th {
 		pos++
 	}
 	if pos >= len(tr) || pos+cfg.SuffixLen > len(tr) {
 		return out, 0, ErrTruncated
 	}
-	out = append(out, tr[pos-cfg.PrefixLen:pos+cfg.SuffixLen]...)
+	out = appendWindow(out, tr[pos-cfg.PrefixLen:pos+cfg.SuffixLen])
 	return out, setAt, nil
+}
+
+// appendWindow appends one edge window to out, converting each sample
+// to float64.
+func appendWindow[E Sample](out linalg.Vector, w []E) linalg.Vector {
+	for _, v := range w {
+		out = append(out, float64(v))
+	}
+	return out
 }
 
 // ClusterThreshold computes the Section 5.1 per-cluster extraction

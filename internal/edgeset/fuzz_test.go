@@ -1,7 +1,9 @@
 package edgeset
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"vprofile/internal/analog"
@@ -9,8 +11,12 @@ import (
 )
 
 // FuzzExtract drives Algorithm 1 with arbitrary byte soup interpreted
-// as a code trace: extraction must never panic, and any frame it does
-// decode must report an in-range source address.
+// as a packed little-endian code trace, the capture format: extraction
+// must never panic, any frame it does decode must report an in-range
+// source address, and extracting from the uint16 codes must give the
+// same Result and error as extracting from the float64 trace they
+// decode to. An odd trailing byte is dropped, as the capture reader's
+// decode does.
 func FuzzExtract(f *testing.F) {
 	// Seed with a genuine trace so the fuzzer starts from the happy
 	// path.
@@ -25,19 +31,29 @@ func FuzzExtract(f *testing.F) {
 				seed = append(seed, byte(v), byte(v>>8))
 			}
 			f.Add(seed)
+			f.Add(append(seed, 0xA5)) // odd length: the last byte is no code
 		}
 	}
 	f.Add([]byte{0xFF, 0xFF, 0x00, 0x00})
 
 	cfg := testCfgForFuzz()
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		tr := make(analog.Trace, len(raw)/2)
-		for i := range tr {
-			tr[i] = float64(uint16(raw[2*i]) | uint16(raw[2*i+1])<<8)
+		codes := make([]uint16, len(raw)/2)
+		tr := make(analog.Trace, len(codes))
+		for i := range codes {
+			codes[i] = uint16(raw[2*i]) | uint16(raw[2*i+1])<<8
+			tr[i] = float64(codes[i])
 		}
 		res, err := Extract(tr, cfg)
+		fromCodes, codesErr := ExtractInto(codes, cfg, new(Scratch))
+		if fmt.Sprint(codesErr) != fmt.Sprint(err) {
+			t.Fatalf("codes extract error %v, floats %v", codesErr, err)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(fromCodes, res) {
+			t.Fatalf("codes extract %+v, floats %+v", fromCodes, res)
 		}
 		if len(res.Set) != cfg.Dim() {
 			t.Fatalf("edge set has %d dims, config says %d", len(res.Set), cfg.Dim())

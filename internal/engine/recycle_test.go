@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -120,14 +119,11 @@ func checkSteadyStateAllocs(t *testing.T, feed func([]byte) io.Reader) {
 }
 
 // recordSum checksums (FNV-1a over whole values) the parts of a
-// result the aliasing contract covers: the record's payload and trace,
-// and the frame's payload.
+// result the aliasing contract covers: the record's payload and the
+// frame's payload.
 func recordSum(r pipeline.Result) uint64 {
 	sum := uint64(14695981039346656037)
 	mix := func(v uint64) { sum = (sum ^ v) * 1099511628211 }
-	for _, v := range r.Record.Trace {
-		mix(math.Float64bits(v))
-	}
 	for _, b := range r.Record.Data {
 		mix(uint64(b))
 	}
@@ -142,19 +138,21 @@ func recordSum(r pipeline.Result) uint64 {
 // must stay untouched for the whole sink call and may be reused the
 // moment it returns. At every workers × batch shape, and on one traced
 // shape (whose flight decisions must copy what they keep), each sink
-// call checksums Record.Trace, Record.Data and Frame.Data,
-// yields, and checksums again — a buffer recycled mid-call changes the
-// sum, and under -race the overlapping write is reported — and the
-// sums must match a pipeline.Sequential reference, record for record.
+// call checksums Record.Data and Frame.Data, yields, and checksums
+// again — a buffer recycled mid-call changes the sum, and under -race
+// the overlapping write is reported — and the sums must match a
+// pipeline.Sequential reference, record for record. Every delivered
+// Record.Trace must be empty: verdicts are scored from the packed
+// codes, and no float64 trace is built for a Result.
 //
 // The sink then runs the in-tree consumers — Tally.Observe, which
 // every session runs on its results before the sink, and
 // VoltageEvent — with the drift and incident wrappers on, and finally
-// scribbles over the record: what recycling does to it next. A
-// consumer that kept a pointer into the record would report scribbled
-// data; the tallies and events must instead equal the reference's.
-// (Scoreboard.Observe takes only the index and verdict, so it cannot
-// keep record memory.)
+// scribbles over the record's payload: what recycling does to it next.
+// A consumer that kept a pointer into the record would report
+// scribbled data; the tallies and events must instead equal the
+// reference's. (Scoreboard.Observe takes only the index and verdict,
+// so it cannot keep record memory.)
 func TestSinkAliasingContract(t *testing.T) {
 	m := sharedModel(t)
 	data := buildCapture(t, 302, 500, 120)
@@ -171,6 +169,9 @@ func TestSinkAliasingContract(t *testing.T) {
 	wantTally := engine.NewTally()
 	var wantEvents []obs.Event
 	_, err = pipeline.Sequential(rd, mon, func(r pipeline.Result) error {
+		if len(r.Record.Trace) != 0 {
+			return fmt.Errorf("record %d: reference carries %d samples", r.Index, len(r.Record.Trace))
+		}
 		wantSums = append(wantSums, recordSum(r))
 		wantEvents = append(wantEvents, wantTally.Observe(r)...)
 		if r.Verdict.Voltage.Anomaly {
@@ -214,6 +215,9 @@ func TestSinkAliasingContract(t *testing.T) {
 				if r.Index >= len(wantSums) {
 					return fmt.Errorf("extra result %d", r.Index)
 				}
+				if len(r.Record.Trace) != 0 {
+					return fmt.Errorf("record %d carries %d samples", r.Index, len(r.Record.Trace))
+				}
 				got := recordSum(r)
 				runtime.Gosched()
 				if again := recordSum(r); again != got {
@@ -228,9 +232,6 @@ func TestSinkAliasingContract(t *testing.T) {
 				}
 				if r.Verdict.Alarm() {
 					alarms++
-				}
-				for i := range r.Record.Trace {
-					r.Record.Trace[i] = math.NaN()
 				}
 				for i := range r.Record.Data {
 					r.Record.Data[i] = 0xA5

@@ -63,10 +63,11 @@ func ExtractionFor(h trace.Header) edgeset.Config {
 
 // Result is one record's verdict tagged with the bus it came from
 // (empty on single-bus runs). It carries pipeline.Result's aliasing
-// contract: Frame and Record (its Data and Trace), and so Frame.Data,
+// contract: Frame and Record (its header and Data), and so Frame.Data,
 // are recycled once the sink call returns, traced session or not, so a
-// sink must copy whatever of them it keeps. Bus, Index, Verdict, Trace
-// and Events may be kept freely.
+// sink must copy whatever of them it keeps. Record holds no samples
+// (its Trace is empty): the verdict is scored from the packed codes.
+// Bus, Index, Verdict, Trace and Events may be kept freely.
 type Result struct {
 	Bus string
 	pipeline.Result

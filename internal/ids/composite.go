@@ -61,14 +61,14 @@ type Composite struct {
 // restarting the monitor.
 //
 // Consistency boundary: the composite calls AcquireModel exactly once
-// per frame, at the top of VoltageVerdictTraced (the verdict body
-// VoltageVerdict shares), and scores that entire frame against the
-// returned model. One frame is therefore always judged by a single
-// model version end to end; frames in flight across a swap may score
-// against either version, but never a mix. AcquireModel must be safe
-// for concurrent use and the returned model immutable — swap by
-// replacing the pointer, never by mutating a model a verdict might be
-// reading.
+// per frame, at the top of the verdict body VoltageVerdict,
+// VoltageVerdictTraced and VoltageVerdictCodes share, and scores that
+// entire frame against the returned model. One frame is therefore
+// always judged by a single model version end to end; frames in flight
+// across a swap may score against either version, but never a mix.
+// AcquireModel must be safe for concurrent use and the returned model
+// immutable — swap by replacing the pointer, never by mutating a model
+// a verdict might be reading.
 type ModelProvider interface {
 	AcquireModel() *core.Model
 }
@@ -245,16 +245,29 @@ func (c *Composite) VoltageVerdict(frame *canbus.ExtendedFrame, tr analog.Trace)
 	return det, err
 }
 
-// VoltageVerdictTraced is the one extract-and-score body. With a nil
-// trace it is VoltageVerdict: no span, no span clock read, zero
+// VoltageVerdictTraced is VoltageVerdict with optional tracing. With a
+// nil trace it is VoltageVerdict: no span, no span clock read, zero
 // Forensics. With a trace it opens "ids.extract" and "ids.score" spans
 // and returns the edge set, copied into the trace's own storage, and
 // the per-cluster distances. The Detection and the metrics accounting
 // are identical either way (Detect and DetectExplainInto return the
 // same Detection), so a traced replay reconciles exactly with an
-// untraced one. The FrameTrace must
-// be owned by the calling goroutine.
+// untraced one. The FrameTrace must be owned by the calling goroutine.
 func (c *Composite) VoltageVerdictTraced(frame *canbus.ExtendedFrame, tr analog.Trace, ft *tracing.FrameTrace) (core.Detection, Forensics, error) {
+	return voltageVerdict(c, tr, ft)
+}
+
+// VoltageVerdictCodes is VoltageVerdictTraced over a record's packed
+// ADC codes (trace.RawRecord.Samples), the form the replay pipeline
+// scores: no sample is expanded to float64 first. Its verdict equals
+// VoltageVerdictTraced's on the decoded trace, bit for bit.
+func (c *Composite) VoltageVerdictCodes(frame *canbus.ExtendedFrame, codes []uint16, ft *tracing.FrameTrace) (core.Detection, Forensics, error) {
+	return voltageVerdict(c, codes, ft)
+}
+
+// voltageVerdict is the one extract-and-score body, generic over the
+// sample element so codes and decoded traces share it.
+func voltageVerdict[E edgeset.Sample](c *Composite, tr []E, ft *tracing.FrameTrace) (core.Detection, Forensics, error) {
 	model := c.models.AcquireModel()
 	m := c.metrics
 	sc, _ := c.scratch.Get().(*edgeset.Scratch)

@@ -11,8 +11,9 @@ import (
 // state into the flight recorder's record. Every slice handed over is
 // either freshly allocated here or owned exclusively by this frame
 // (the extracted edge set), honouring the recorder's immutability
-// contract. The record's payload and trace are copied: the record
-// itself is recycled once the sink call returns.
+// contract. The record's payload is copied: the record itself is
+// recycled once the sink call returns. The samples are already in the
+// decision slot, widened from the codes by the worker (see widen).
 func buildDecision(idx int, cur *scored, verdict ids.CompositeResult, state ids.SequenceState) *tracing.Decision {
 	// The record lives in the FrameTrace's own allocation — the trace,
 	// its spans and the decision are one per-frame object.
@@ -26,7 +27,7 @@ func buildDecision(idx int, cur *scored, verdict ids.CompositeResult, state ids.
 		Data:     append(tracing.HexBytes(nil), cur.rec.Data...),
 		ECUIndex: cur.rec.ECUIndex,
 		Spans:    cur.ft.Spans,
-		Samples:  append([]float64(nil), cur.rec.Trace...),
+		Samples:  d.Samples,
 	}
 
 	// A Suppressed verdict keeps its evidence but raises no alarm, so
@@ -81,4 +82,17 @@ func buildDecision(idx int, cur *scored, verdict ids.CompositeResult, state ids.
 		d.Detector.PeriodSamples = p.Samples
 	}
 	return d
+}
+
+// widen copies a traced frame's packed codes into the float64 waveform
+// its flight decision keeps, in one pass; no samples gives nil.
+func widen(codes []uint16) []float64 {
+	if len(codes) == 0 {
+		return nil
+	}
+	out := make([]float64, len(codes))
+	for i, c := range codes {
+		out[i] = float64(c)
+	}
+	return out
 }

@@ -38,12 +38,12 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		ExtractFailures: reg.Counter("vprofile_pipeline_extract_failures_total",
 			"Records whose trace failed preprocessing (delivered with ExtractErr set)."),
 		DecodeSeconds: reg.Histogram("vprofile_pipeline_decode_seconds",
-			"Per-record sample decode latency in the worker pool.", obs.LatencyBuckets()),
+			"Per-record header copy and sample-view latency in the worker pool (traced replays also copy the samples).", obs.LatencyBuckets()),
 		SequenceSeconds: reg.Histogram("vprofile_pipeline_sequence_seconds",
 			"Per-record stateful-detector + sink latency in the reordering stage.", obs.LatencyBuckets()),
 		QueueDepth: reg.Gauge("vprofile_pipeline_reorder_queue_depth",
 			"Out-of-order results parked in the reordering stage."),
 		PoolOutstanding: reg.Gauge("pool_outstanding_buffers",
-			"Pooled record/batch buffers checked out of the pipeline recycler and not yet returned."),
+			"Pooled raw record/batch buffers checked out of the pipeline recycler and not yet returned."),
 	}
 }

@@ -6,12 +6,13 @@
 //
 //  1. a reader goroutine pulls records off the capture stream in
 //     order and tags each with its index — kept deliberately thin
-//     (raw, undecoded records refilled into pooled buffers) because
-//     stream decoding is the one inherently serial stage;
-//  2. a worker pool fans out the stateless hot path — sample
-//     decoding, edge-set extraction and vProfile scoring
-//     (Composite.VoltageVerdictTraced, with a nil trace on an
-//     untraced replay) — across GOMAXPROCS goroutines;
+//     (raw records, sample codes still packed, refilled into pooled
+//     buffers) because stream decoding is the one inherently serial
+//     stage;
+//  2. a worker pool fans out the stateless hot path — edge-set
+//     extraction and vProfile scoring straight from each record's
+//     packed ADC codes (Composite.VoltageVerdictCodes, with a nil
+//     trace on an untraced replay) — across GOMAXPROCS goroutines;
 //  3. a reordering stage re-sequences results by record index and
 //     runs the stateful detectors (period monitor, transport
 //     reassembly) in arrival order via Composite.Sequence.
@@ -52,12 +53,12 @@ import (
 
 // Source yields capture records in order by refilling a caller-owned
 // raw record, overwriting every field, and returns io.EOF at the end
-// of the stream. The sample codes stay packed so the float64 expansion
-// runs in the worker pool, and the pipeline recycles record buffers
-// end to end. Buffered reports how many bytes the source has already
-// taken off its transport; zero means the next read may block, so the
-// reader ships its partial batch first. *trace.Reader and
-// engine.StreamSource implement it.
+// of the stream. The sample codes stay packed: workers score them in
+// that form, and the pipeline recycles raw record buffers end to end.
+// Buffered reports how many bytes the source has already taken off its
+// transport; zero means the next read may block, so the reader ships
+// its partial batch first. *trace.Reader and engine.StreamSource
+// implement it.
 type Source interface {
 	NextRawInto(*trace.RawRecord) error
 	Buffered() int
@@ -126,13 +127,16 @@ var ErrStalled = errors.New("pipeline: replay stalled (sink made no progress wit
 // Result is one record's verdict, delivered to the sink in record
 // order.
 //
+// Record carries the frame's header and payload but no samples: its
+// Trace is empty, because the verdict is scored from the record's
+// packed codes and no float64 trace is ever built. A traced replay's
+// flight decision keeps the samples instead.
+//
 // Aliasing contract: a sink that keeps anything a Result points to
 // past its own call must copy it. On every replay, traced or not,
-// Frame points into the pipeline's recycled batch storage and Record —
-// its Data and Trace — is recycled too, and so is Frame.Data, which
-// aliases Record.Data: at replay rates the per-frame trace alone is
-// tens of kilobytes, enough to make the allocator and GC the
-// bottleneck. Index, Verdict and Trace may be kept freely.
+// Frame and Record — Record.Data included — live in the pipeline's
+// recycled batch storage, and Frame.Data aliases Record.Data. Index,
+// Verdict and Trace may be kept freely.
 type Result struct {
 	Index   int
 	Record  *trace.Record
@@ -164,8 +168,8 @@ type Stats struct {
 	// time workers spent extracting and scoring.
 	WallTime   time.Duration
 	WorkerBusy time.Duration
-	// BuffersOutstanding counts the pooled batch and record buffers the
-	// replay has taken and not yet returned. Once Run has returned —
+	// BuffersOutstanding counts the pooled batch and raw record buffers
+	// the replay has taken and not yet returned. Once Run has returned —
 	// cleanly, on error or abandoned — it must be zero; anything else
 	// is a leak.
 	BuffersOutstanding int64
@@ -254,21 +258,25 @@ func (p *Replayer) Stats() Stats {
 	}
 }
 
-// job is a record travelling between stages. The FrameTrace (traced
-// replays only) travels with the job and is only ever touched by the
-// goroutine currently holding it.
+// job is a record travelling from the reader to a worker. The
+// FrameTrace (traced replays only) travels with the record and is only
+// ever touched by the goroutine currently holding it.
 type job struct {
 	idx int
-	raw *trace.RawRecord // nil once decoded
-	rec *trace.Record
+	raw *trace.RawRecord
 	ft  *tracing.FrameTrace
 }
 
-// scored is a job annotated with its frame header and stateless
-// verdict. The frame lives in the scored batch itself, so building it
-// costs no allocation; Result.Frame points here.
+// scored is a record after scoring: its header, payload and stateless
+// verdict. The record and frame live in the scored batch itself, the
+// payload in data, so building them costs no allocation; Result.Record
+// and Result.Frame point here. The raw record is back in its pool by
+// now.
 type scored struct {
-	job
+	idx        int
+	ft         *tracing.FrameTrace
+	rec        trace.Record // Trace stays empty
+	data       [8]byte      // backs rec.Data and frame.Data
 	frame      canbus.ExtendedFrame
 	det        core.Detection
 	forensics  ids.Forensics
@@ -289,13 +297,14 @@ type scoredBatch struct {
 	items []scored
 }
 
-// processBatch is the stateless hot path one pool task runs: decode
-// each raw record into a pooled record, extract and score it, then
-// hand the whole scored batch to the reordering stage in one channel
-// operation. It parks on this replay's bounded out channel and is
-// released by abandon — releasing the batch's pooled buffers on that
-// path — so a stalled replay never wedges a shared pool beyond its
-// in-flight tasks and an abandoned batch never strands a buffer.
+// processBatch is the stateless hot path one pool task runs: copy each
+// raw record's header and payload into the scored batch, extract and
+// score it from its packed codes, return the raw record to its pool,
+// then hand the whole scored batch to the reordering stage in one
+// channel operation. It parks on this replay's bounded out channel and
+// is released by abandon — releasing the batch on that path — so a
+// stalled replay never wedges a shared pool beyond its in-flight tasks
+// and an abandoned batch never strands a buffer.
 func (p *Replayer) processBatch(b *jobBatch, out chan<- *scoredBatch, abandon <-chan struct{}) {
 	m := p.metrics
 	rc := p.rc
@@ -307,17 +316,21 @@ func (p *Replayer) processBatch(b *jobBatch, out chan<- *scoredBatch, abandon <-
 			t0 = time.Now()
 		}
 		sp := j.ft.StartSpan("pipeline.decode")
-		j.rec = rc.getRec()
-		j.raw.DecodeInto(j.rec)
-		rc.putRaw(j.raw)
-		j.raw = nil
+		sb.items = append(sb.items, scored{idx: j.idx, ft: j.ft})
+		s := &sb.items[len(sb.items)-1]
+		raw := j.raw
+		s.rec = trace.Record{ECUIndex: raw.ECUIndex, TimeSec: raw.TimeSec, FrameID: raw.FrameID, Data: append(s.data[:0], raw.Data...)}
+		s.frame = canbus.ExtendedFrame{ID: s.rec.FrameID, Data: s.rec.Data}
+		codes := raw.Samples()
+		if j.ft != nil {
+			j.ft.DecisionSlot().Samples = widen(codes)
+		}
 		sp.End()
 		if m != nil {
 			m.DecodeSeconds.Observe(time.Since(t0).Seconds())
 		}
-		sb.items = append(sb.items, scored{job: j, frame: canbus.ExtendedFrame{ID: j.rec.FrameID, Data: j.rec.Data}})
-		s := &sb.items[len(sb.items)-1]
-		s.det, s.forensics, s.extractErr = p.mon.VoltageVerdictTraced(&s.frame, j.rec.Trace, j.ft)
+		s.det, s.forensics, s.extractErr = p.mon.VoltageVerdictCodes(&s.frame, codes, j.ft)
+		rc.putRaw(raw)
 		if s.extractErr != nil {
 			p.extractFailures.Add(1)
 			if m != nil {
@@ -337,7 +350,7 @@ func (p *Replayer) processBatch(b *jobBatch, out chan<- *scoredBatch, abandon <-
 	select {
 	case out <- sb:
 	case <-abandon:
-		rc.releaseScored(sb)
+		rc.putScoredBatch(sb)
 	}
 }
 
@@ -432,13 +445,12 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 
 	// Stage 1: the reader refills pooled raw records, tags them with
 	// their stream index and accumulates them into batches. The samples
-	// stay packed here and inflate in the workers, keeping the serial
-	// stage as thin as the format allows. A batch ships when it is
-	// full or when the source has nothing more buffered — the next read
-	// may block, and the records in hand must not wait for it. A source
-	// error does not abandon the replay: the partial batch already read
-	// is flushed so the sink sees the complete prefix before the error
-	// surfaces.
+	// stay packed, keeping the serial stage as thin as the format
+	// allows. A batch ships when it is full or when the source has
+	// nothing more buffered — the next read may block, and the records
+	// in hand must not wait for it. A source error does not abandon the
+	// replay: the partial batch already read is flushed so the sink sees
+	// the complete prefix before the error surfaces.
 	go func() {
 		defer close(jobs)
 		batch := rc.getJobBatch()
@@ -558,11 +570,10 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 	// delivered whole. pending is bounded by the batches in flight
 	// (≤ 2×Depth + workers), so memory stays flat even when one slow
 	// batch holds up its successors. On an aborted replay the deferred
-	// cleanup releases the batch being delivered (its delivered
-	// entries no longer hold a record), drains out (the dispatcher
-	// closes it once the workers unwedge via abandon) and releases
-	// every pending batch, so no pooled buffer is stranded on any exit
-	// path.
+	// cleanup releases the batch being delivered, drains out (the
+	// dispatcher closes it once the workers unwedge via abandon) and
+	// releases every pending batch, so no pooled buffer is stranded on
+	// any exit path.
 	next := 0
 	m := p.metrics
 	pending := make(map[int]*scoredBatch, 2*p.depth+p.workers)
@@ -570,19 +581,19 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 	var cur *scoredBatch
 	defer func() {
 		if cur != nil {
-			rc.releaseScored(cur)
+			rc.putScoredBatch(cur)
 		}
 		for sb := range out {
-			rc.releaseScored(sb)
+			rc.putScoredBatch(sb)
 		}
 		for idx, sb := range pending {
-			rc.releaseScored(sb)
+			rc.putScoredBatch(sb)
 			delete(pending, idx)
 		}
 	}()
-	// deliver runs the stateful detectors over one scored record, hands
-	// it to the sink and recycles its record; false means the replay
-	// must stop (sink error or stall).
+	// deliver runs the stateful detectors over one scored record and
+	// hands it to the sink; false means the replay must stop (sink
+	// error or stall).
 	deliver := func(s *scored) bool {
 		var t0 time.Time
 		if m != nil {
@@ -602,11 +613,7 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 		if p.recorder != nil {
 			p.recorder.Record(buildDecision(next, s, verdict, state))
 		}
-		err := fn(Result{Index: next, Record: s.rec, Frame: &s.frame, Verdict: verdict, Trace: s.ft})
-		// The sink call is over; the Result aliasing contract says the
-		// record may now be recycled.
-		rc.putRec(s.rec)
-		s.rec = nil
+		err := fn(Result{Index: next, Record: &s.rec, Frame: &s.frame, Verdict: verdict, Trace: s.ft})
 		if m != nil {
 			m.SequenceSeconds.Observe(time.Since(t0).Seconds())
 			m.RecordsOut.Inc()
@@ -664,12 +671,13 @@ func Replay(src Source, mon *ids.Composite, cfg Config, fn Sink) (Stats, error) 
 	return p.Stats(), err
 }
 
-// Sequential replays the source on the calling goroutine through
-// Composite.Process — the reference path the pipeline must match
-// bit-for-bit, and the baseline its benchmarks compare against. It
-// decodes a fresh Record per frame, so a sink may keep what a Result
-// points to. It fills the same Stats (WorkerBusy covers the
-// extract+score step so utilisation remains comparable).
+// Sequential replays the source on the calling goroutine, scoring each
+// record from its packed codes and sequencing it in the same call —
+// the reference path the pipeline must match bit-for-bit, and the
+// baseline its benchmarks compare against. Each Result gets a fresh
+// Record (header and payload; no samples, as in Run), so a sink may
+// keep what a Result points to. It fills the same Stats (WorkerBusy
+// covers the extract+score step so utilisation remains comparable).
 func Sequential(src Source, mon *ids.Composite, fn Sink) (Stats, error) {
 	if mon == nil {
 		return Stats{}, errors.New("pipeline: nil monitor")
@@ -691,10 +699,10 @@ func Sequential(src Source, mon *ids.Composite, fn Sink) (Stats, error) {
 			return stats, err
 		}
 		stats.RecordsIn++
-		rec := raw.Decode()
+		rec := &trace.Record{ECUIndex: raw.ECUIndex, TimeSec: raw.TimeSec, FrameID: raw.FrameID, Data: append([]byte(nil), raw.Data...)}
 		frame := &canbus.ExtendedFrame{ID: rec.FrameID, Data: rec.Data}
 		t0 := time.Now()
-		det, extractErr := mon.VoltageVerdict(frame, rec.Trace)
+		det, _, extractErr := mon.VoltageVerdictCodes(frame, raw.Samples(), nil)
 		stats.WorkerBusy += time.Since(t0)
 		if extractErr != nil {
 			stats.ExtractFailures++

@@ -11,8 +11,8 @@ import (
 // process: a new session, a re-attached bus or a reconnecting feed
 // starts on warm buffers instead of refilling its whole in-flight set
 // from the heap. Pooled batch slices carry no record pointers (they are
-// cleared on put) and pooled records are fully overwritten on reuse,
-// so sharing is invisible to verdicts.
+// cleared on put) and pooled raw records are fully overwritten on
+// reuse, so sharing is invisible to verdicts.
 //
 // The pools hold pointers: a slice put into a sync.Pool is boxed into a
 // fresh interface value, one allocation per batch, which a live feed
@@ -21,22 +21,21 @@ var (
 	jobBatchPool    = sync.Pool{New: func() any { return new(jobBatch) }}
 	scoredBatchPool = sync.Pool{New: func() any { return new(scoredBatch) }}
 	rawPool         = sync.Pool{New: func() any { return new(trace.RawRecord) }}
-	recPool         = sync.Pool{New: func() any { return new(trace.Record) }}
 )
 
-// maxPooledSamples bounds the trace capacity a pooled record may keep:
-// about 2.4 times the longest stuffed extended frame at the fastest
-// digitiser rate (~13.6k samples at 20 MS/s, 250 kb/s). Buffers grown
-// past it — one hostile or corrupt record may claim up to 16M samples,
-// 128 MiB of float64 — go back to the garbage collector instead of
-// staying pinned in a pool.
-const maxPooledSamples = 1 << 15
+// maxPooledCodeBytes bounds the packed code capacity a pooled raw
+// record may keep: 32k samples, about 2.4 times the longest stuffed
+// extended frame at the fastest digitiser rate (~13.6k samples at
+// 20 MS/s, 250 kb/s). Buffers grown past it — one hostile or corrupt
+// record may claim up to 16M samples, 32 MiB of codes — go back to the
+// garbage collector instead of staying pinned in a pool.
+const maxPooledCodeBytes = 1 << 16
 
 // recycler is one replay's view of the shared pools: it hands out
-// per-batch and per-record buffers so the steady-state hot path stops
-// allocating, and counts them. Every replay pools both; a traced
-// replay's flight decisions copy what they keep of a record, so no
-// record outlives its sink call.
+// batch and raw record buffers so the steady-state hot path stops
+// allocating, and counts them. A raw record goes back once its frame
+// is scored; what a Result shows of it lives in the scored batch, and
+// a traced replay's flight decisions copy what they keep.
 //
 // outstanding counts this replay's gets minus puts across every pooled
 // object kind. A replay that ends — cleanly, on a sink error, or
@@ -88,43 +87,18 @@ func (rc *recycler) getRaw() *trace.RawRecord {
 
 func (rc *recycler) putRaw(r *trace.RawRecord) {
 	rc.outstanding.Add(-1)
-	if cap(r.Codes) > 2*maxPooledSamples {
+	if cap(r.Codes) > maxPooledCodeBytes {
 		return
 	}
 	rawPool.Put(r)
 }
 
-func (rc *recycler) getRec() *trace.Record {
-	rc.outstanding.Add(1)
-	return recPool.Get().(*trace.Record)
-}
-
-func (rc *recycler) putRec(r *trace.Record) {
-	if r == nil {
-		return
-	}
-	rc.outstanding.Add(-1)
-	if cap(r.Trace) > maxPooledSamples {
-		return
-	}
-	recPool.Put(r)
-}
-
 // releaseJobs returns an abandoned job batch and the raw record every
-// job in it still holds (jobs are decoded only inside processBatch).
+// job in it still holds (a raw record goes back only once processBatch
+// has scored it).
 func (rc *recycler) releaseJobs(b *jobBatch) {
 	for i := range b.jobs {
 		rc.putRaw(b.jobs[i].raw)
 	}
 	rc.putJobBatch(b)
-}
-
-// releaseScored returns an abandoned scored batch and the record
-// buffers its undelivered entries still hold (raw is nil by this
-// stage).
-func (rc *recycler) releaseScored(b *scoredBatch) {
-	for i := range b.items {
-		rc.putRec(b.items[i].rec)
-	}
-	rc.putScoredBatch(b)
 }

@@ -10,9 +10,9 @@ import (
 
 // TestPoolsDropOversizedBuffers feeds one hostile-sized record and
 // then normal ones through the recycler the way a replay does — refill
-// a pooled raw record, decode it into a pooled record, return both —
-// and requires that the oversized buffers were not retained: no later
-// get may hand back their capacity.
+// a pooled raw record, view its codes, return it — and requires that
+// the oversized buffer was not retained: no later get may hand back
+// its capacity.
 func TestPoolsDropOversizedBuffers(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := trace.NewWriter(&buf, trace.Header{
@@ -28,7 +28,7 @@ func TestPoolsDropOversizedBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write(4 * maxPooledSamples)
+	write(2 * maxPooledCodeBytes)
 	for i := 0; i < 8; i++ {
 		write(3000)
 	}
@@ -46,21 +46,18 @@ func TestPoolsDropOversizedBuffers(t *testing.T) {
 		if err := rd.NextRawInto(raw); err != nil {
 			t.Fatal(err)
 		}
-		rec := rc.getRec()
-		raw.DecodeInto(rec)
+		if n := len(raw.Samples()); n != len(raw.Codes)/2 {
+			t.Fatalf("record %d: %d samples in view, %d code bytes", i, n, len(raw.Codes))
+		}
 		rc.putRaw(raw)
-		rc.putRec(rec)
 	}
 	if n := rc.outstanding.Load(); n != 0 {
 		t.Fatalf("%d buffers outstanding", n)
 	}
 
 	for i := 0; i < 64; i++ {
-		if raw := rc.getRaw(); cap(raw.Codes) > 2*maxPooledSamples {
+		if raw := rc.getRaw(); cap(raw.Codes) > maxPooledCodeBytes {
 			t.Fatalf("get %d returned a raw record holding %d code bytes", i, cap(raw.Codes))
-		}
-		if rec := rc.getRec(); cap(rec.Trace) > maxPooledSamples {
-			t.Fatalf("get %d returned a record holding %d samples", i, cap(rec.Trace))
 		}
 	}
 }

@@ -16,7 +16,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"vprofile/internal/analog"
 	"vprofile/internal/canbus"
@@ -271,15 +273,48 @@ func (r *Reader) Release() {
 // RawRecord is a record whose sample codes are still in their packed
 // on-disk form: two little-endian bytes per sample. Reading raw
 // records keeps the (inherently serial) stream-decoding stage of a
-// concurrent replay cheap — the float64 expansion, the bulk of the
-// per-record decode cost, moves into Decode, which any worker
-// goroutine can run.
+// concurrent replay cheap, and the verdict path never expands them:
+// workers extract and score straight from the Samples view. Decode,
+// the float64 expansion, is for callers that keep or synthesize whole
+// traces (training, experiments, ReadAll).
 type RawRecord struct {
 	ECUIndex int32
 	TimeSec  float64
 	FrameID  uint32
 	Data     []byte
 	Codes    []byte // 2 bytes per sample, little-endian uint16
+
+	// samples is the view Samples decodes into where it cannot alias
+	// Codes. It never holds more than len(Codes)/2 codes, so a bound
+	// on cap(Codes) bounds it too.
+	samples []uint16
+}
+
+// hostLittleEndian reports whether the host stores a uint16 the way
+// the capture format packs it, so Samples can alias Codes.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// Samples returns the record's sample codes as uint16s, the element
+// type edgeset.ExtractInto reads directly; an odd trailing byte is
+// ignored, as in DecodeInto. On a little-endian host it reinterprets
+// Codes in place and copies nothing. On a big-endian host, or when
+// Codes starts at an odd address, it decodes into a buffer the record
+// owns. Either way the view is valid until the record is next
+// refilled, and must not be written through.
+func (rr *RawRecord) Samples() []uint16 {
+	n := len(rr.Codes) / 2
+	if n == 0 {
+		return nil
+	}
+	p := unsafe.SliceData(rr.Codes)
+	if hostLittleEndian && uintptr(unsafe.Pointer(p))%unsafe.Alignof(uint16(0)) == 0 {
+		return unsafe.Slice((*uint16)(unsafe.Pointer(p)), n)
+	}
+	rr.samples = slices.Grow(rr.samples[:0], n)[:n]
+	for i := range rr.samples {
+		rr.samples[i] = binary.LittleEndian.Uint16(rr.Codes[2*i:])
+	}
+	return rr.samples
 }
 
 // Decode expands the packed sample codes into a full Record.
