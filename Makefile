@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzNextRawInto$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz '^FuzzEdgeExtract$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/edgeset
 	$(GO) test -fuzz '^FuzzDatagramAccept$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
+	$(GO) test -fuzz '^FuzzSegment$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/control
 	$(GO) test -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz '^FuzzDetectMatchesExplain$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core

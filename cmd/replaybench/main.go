@@ -68,9 +68,11 @@ type Run struct {
 
 // Report is the BENCH_pipeline.json schema.
 type Report struct {
-	Records   int    `json:"records"`
-	Repeat    int    `json:"repeat"`
-	Batch     int    `json:"batch"` // pipeline batch size (0 = default)
+	Records int `json:"records"`
+	Repeat  int `json:"repeat"`
+	// Batch is the pipeline batch bound the runs used: always 0, the
+	// pipeline default. benchgate compares it between reports.
+	Batch     int    `json:"batch"`
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
@@ -154,17 +156,16 @@ func main() {
 	out := flag.String("out", "BENCH_pipeline.json", "output JSON file")
 	records := flag.Int("records", 10000, "capture size in records")
 	repeat := flag.Int("repeat", 15, "runs per configuration (best is reported)")
-	batch := flag.Int("batch", 0, "pipeline batch size (0 = the pipeline default)")
 	procs := flag.Int("gomaxprocs", 0, "GOMAXPROCS for the whole benchmark, 0 = NumCPU (set >= 2 explicitly on a single-core host to benchmark by timeslicing)")
 	flag.Parse()
-	if err := run(*out, *records, *repeat, *batch, *procs); err != nil {
+	if err := run(*out, *records, *repeat, *procs); err != nil {
 		fmt.Fprintln(os.Stderr, "replaybench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, records, repeat, batch, procs int) error {
-	report, err := measure(records, repeat, batch, procs)
+func run(out string, records, repeat, procs int) error {
+	report, err := measure(records, repeat, procs)
 	if err != nil {
 		return err
 	}
@@ -183,7 +184,7 @@ func run(out string, records, repeat, batch, procs int) error {
 }
 
 // measure runs the table and builds the report.
-func measure(records, repeat, batch, procs int) (Report, error) {
+func measure(records, repeat, procs int) (Report, error) {
 	if procs <= 0 {
 		procs = runtime.NumCPU()
 	}
@@ -209,7 +210,7 @@ func measure(records, repeat, batch, procs int) (Report, error) {
 	}
 	defer os.RemoveAll(tmp)
 	rows := table(filepath.Join(tmp, "flight"))
-	common := []engine.Option{engine.WithModel(model), engine.WithBatch(batch)}
+	common := []engine.Option{engine.WithModel(model)}
 
 	// Interleave the runs round-robin across every row rather than
 	// finishing one before starting the next: host noise (a shared or
@@ -247,7 +248,6 @@ func measure(records, repeat, batch, procs int) (Report, error) {
 	report := Report{
 		Records:     records,
 		Repeat:      repeat,
-		Batch:       batch,
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,

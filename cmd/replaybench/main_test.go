@@ -11,7 +11,7 @@ import (
 func TestAblationTable(t *testing.T) {
 	const records = 500
 	procs := max(runtime.NumCPU(), 2)
-	rep, err := measure(records, 1, 0, procs)
+	rep, err := measure(records, 1, procs)
 	if err != nil {
 		t.Fatal(err)
 	}

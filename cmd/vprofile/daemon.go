@@ -53,7 +53,7 @@ func cmdAttach(args []string) error {
 	}
 
 	spec := controlapi.BusSpec{
-		Bus: *bus, Listen: *listen, Model: fl.Model, Batch: fl.Batch,
+		Bus: *bus, Listen: *listen, Model: fl.Model,
 		Quarantine: fl.Quarantine, Recover: fl.Recover, Drift: fl.Drift,
 		FlightDir: fl.FlightDir,
 	}

@@ -1,23 +1,30 @@
-// Hijack detection with the streaming IDS: a continuous digitizer
+// Hijack detection on a raw digitizer feed: a continuous sample
 // stream carries normal traffic interleaved with frames from a
 // compromised body controller that forges the engine ECU's source
 // address (the Miller-Valasek threat the paper's introduction
-// motivates). The IDS segments the stream, fingerprints every frame,
-// and names the true origin of each attack.
+// motivates). The segmenter cuts the stream into capture records, the
+// engine session runs them through the composite IDS, and every
+// voltage alarm names the cluster, and so the ECU, that actually sent
+// the frame.
 //
 //	go run ./examples/hijack
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"slices"
 
 	"vprofile/internal/analog"
 	"vprofile/internal/canbus"
 	"vprofile/internal/core"
 	"vprofile/internal/edgeset"
-	"vprofile/internal/ids"
+	"vprofile/internal/engine"
+	"vprofile/internal/trace"
 	"vprofile/internal/vehicle"
 )
 
@@ -39,11 +46,6 @@ func main() {
 		log.Fatal(err)
 	}
 	model, err := core.Train(training, core.TrainConfig{Metric: core.Mahalanobis, SAMap: v.SAMap(), Margin: 40})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	det, err := ids.New(model, ids.Config{Extraction: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,36 +84,43 @@ func main() {
 	}
 	stream = append(stream, idle...)
 
-	// Feed the stream in digitizer-sized chunks.
-	caught := 0
-	for off := 0; off < len(stream); off += 4096 {
-		end := off + 4096
-		if end > len(stream) {
-			end = len(stream)
+	// The digitizer delivers packed little-endian uint16 codes; the
+	// segmenter turns them into a capture stream the session replays.
+	var codes []byte
+	for _, c := range stream {
+		codes = binary.LittleEndian.AppendUint16(codes, uint16(c))
+	}
+	seg := trace.NewSegmenter(trace.Header{Vehicle: v.Name, BitRate: v.BitRate, ADC: v.ADC}, bytes.NewReader(codes))
+	src, err := engine.NewStreamSource("digitizer", io.NopCloser(seg))
+	if err != nil {
+		log.Fatal(err)
+	}
+	compromised := v.ECUs[3].SAs()[0]
+	caught, attributed := 0, 0
+	sum, err := engine.NewSession("", engine.WithSource(src), engine.WithModel(model)).Run(func(r engine.Result) error {
+		det := r.Verdict.Voltage
+		if !det.Anomaly {
+			return nil
 		}
-		results, err := det.Push(stream[off:end])
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, r := range results {
-			if !r.Anomalous() {
-				continue
-			}
-			caught++
-			origin := "unknown"
-			if r.Detection.Predict >= 0 {
-				c, err := model.Cluster(r.Detection.Predict)
-				if err == nil {
-					origin = fmt.Sprintf("cluster %d (SAs %v)", c.ID, c.SAs)
+		caught++
+		origin := "unknown"
+		if det.Predict >= 0 {
+			if c, err := model.Cluster(det.Predict); err == nil {
+				origin = fmt.Sprintf("cluster %d (SAs %v)", c.ID, c.SAs)
+				if slices.Contains(c.SAs, compromised) {
+					attributed++
 				}
 			}
-			fmt.Printf("ALARM at sample %d: SA %#02x, reason %s, true origin %s\n",
-				r.SOFIndex, uint8(r.SA), r.Detection.Reason, origin)
 		}
+		fmt.Printf("ALARM at %.6f s: SA %#02x, reason %s, true origin %s\n",
+			r.Record.TimeSec, uint8(r.Frame.SA()), det.Reason, origin)
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	st := det.Stats()
-	fmt.Printf("\nprocessed %d frames, %d injected attacks, %d alarms\n", st.Frames, attacks, caught)
-	if caught == attacks {
+	fmt.Printf("\nprocessed %d frames, %d injected attacks, %d alarms\n", sum.Tally.Frames(), attacks, caught)
+	if caught == attacks && attributed == attacks {
 		fmt.Println("every hijacked frame was identified — and attributed to the compromised ECU")
 	}
 }

@@ -244,3 +244,25 @@ func TestArbitrationIdenticalIDsDeterministic(t *testing.T) {
 		t.Fatalf("identical IDs: winner = %d, want lowest tag 2", res.WinnerTag)
 	}
 }
+
+func FuzzDecodeFrame(f *testing.F) {
+	frame := &ExtendedFrame{ID: 0x18FEF100, Data: []byte{1, 2, 3}}
+	wire, _ := frame.WireBits(true)
+	seed := make([]byte, len(wire))
+	for i, b := range wire {
+		seed[i] = byte(b)
+	}
+	f.Add(seed)
+	f.Add([]byte{0, 1, 0, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		bits := make(BitString, len(raw))
+		for i, b := range raw {
+			bits[i] = Bit(b & 1)
+		}
+		// Must never panic; errors are fine.
+		fr, err := DecodeFrame(bits)
+		if err == nil && fr.ID >= 1<<29 {
+			t.Fatalf("decoded out-of-range ID %#x", fr.ID)
+		}
+	})
+}

@@ -46,7 +46,6 @@ type BusSpec struct {
 	// file's directory when relative).
 	Model string `json:"model"`
 
-	Batch   int  `json:"batch,omitempty"`
 	Recover bool `json:"recover,omitempty"`
 
 	Quarantine bool `json:"quarantine,omitempty"`

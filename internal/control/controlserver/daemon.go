@@ -591,7 +591,7 @@ func (b *busRun) serveStream(name string, rc io.ReadCloser, gaps func() trace.Ga
 // memberOptions translates the bus spec into the fleet member's
 // options; everything else (pool, event outlet, model) is the fleet's.
 func (b *busRun) memberOptions(spec controlapi.BusSpec) []engine.Option {
-	opts := []engine.Option{engine.WithBatch(spec.Batch)}
+	var opts []engine.Option
 	// UDP loss surfaces as stream corruption; recovery is mandatory
 	// there (validation enforces it on the spec too).
 	if spec.Recover || b.dg != nil {

@@ -34,12 +34,12 @@ func TestDaemonLifecycleNoLeaks(t *testing.T) {
 
 	buses := []string{"a", "b", "c"}
 	policyPath := filepath.Join(dir, "fleet.yaml")
-	writePolicy := func(modelB, batchC string) {
+	writePolicy := func(modelB, windowC string) {
 		sock := func(bus string) string { return "unix://" + filepath.Join(dir, bus+".sock") }
 		text := "defaults:\n  model: model.vpm\n  quarantine: true\nbuses:\n" +
 			"  a:\n    listen: " + sock("a") + "\n" +
 			"  b:\n    listen: " + sock("b") + "\n    model: " + modelB + "\n" +
-			"  c:\n    listen: " + sock("c") + "\n    batch: " + batchC + "\n"
+			"  c:\n    listen: " + sock("c") + "\n    flight_window: " + windowC + "\n"
 		if err := os.WriteFile(policyPath, []byte(text), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestDaemonLifecycleNoLeaks(t *testing.T) {
 	}
 	streamAll(2)
 
-	// Reload: b hot-swaps its model, c restarts with a new batch size,
+	// Reload: b hot-swaps its model, c restarts with a new flight window,
 	// a is untouched.
 	writePolicy("model2.vpm", "8")
 	resp, err := d.Reload()

@@ -17,6 +17,8 @@ func FuzzParsePolicy(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add([]byte("defaults:\n  model: model.vpm\nbuses:\n  front:\n    listen: tcp://127.0.0.1:9700\n"))
+	// batch is a removed key: it must fail validation.
+	f.Add([]byte("defaults:\n  model: model.vpm\n  batch: 8\nbuses:\n  front:\n    listen: tcp://127.0.0.1:9700\n"))
 
 	name := filepath.Join(dir, "fleet.yaml")
 	f.Fuzz(func(t *testing.T, data []byte) {

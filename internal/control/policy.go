@@ -198,7 +198,7 @@ func ParsePolicy(name string, data []byte) (*Policy, error) {
 
 // busSettingKeys is the per-bus (and defaults) key set.
 var busSettingKeys = []string{
-	"listen", "model", "batch", "recover", "quarantine",
+	"listen", "model", "recover", "quarantine",
 	"drift", "stall_timeout", "flight_dir", "flight_window",
 }
 
@@ -219,7 +219,9 @@ func bindBusSettings(e *errs, n *node, path string, spec *controlapi.BusSpec, se
 			// pool, sized by GOMAXPROCS.
 			e.add(c.line, kp, "removed: buses share the daemon's worker pool (sized by GOMAXPROCS)")
 		case "batch":
-			spec.Batch = bindInt(e, c, kp)
+			// Removed: a batch is only an upper bound and a live feed
+			// ships what has arrived, so no bound buys anything.
+			e.add(c.line, kp, "removed: a feed ships what has arrived (the pipeline's batch bound is not configurable)")
 		case "recover":
 			spec.Recover = bindBool(e, c, kp)
 		case "drift":
@@ -294,9 +296,6 @@ func validateSpec(e *errs, line int, path string, spec *controlapi.BusSpec, dir 
 		if _, err := os.Stat(mp); err != nil {
 			e.add(line, path+".model", "model file %s: %v", spec.Model, errors.Unwrap(err))
 		}
-	}
-	if spec.Batch < 0 {
-		e.add(line, path+".batch", "must be >= 0, got %d", spec.Batch)
 	}
 	if spec.FlightWindow < 0 {
 		e.add(line, path+".flight_window", "must be >= 0, got %d", spec.FlightWindow)

@@ -36,14 +36,14 @@ alarms:
 defaults:
   model: model.vpm
   quarantine: true
-  batch: 2
+  flight_window: 2
 buses:
   front:
     listen: tcp://127.0.0.1:9700
   cabin:
     listen: udp://127.0.0.1:9701
     recover: true
-    batch: 4
+    flight_window: 4
     quarantine:
       suspect_after: 2
       degrade_after: 6
@@ -72,9 +72,9 @@ buses:
 	if front == nil {
 		t.Fatal("bus front missing")
 	}
-	// Defaults merged: model, quarantine and batch flow in; listen is
-	// the bus's own.
-	if front.Model != "model.vpm" || !front.Quarantine || front.Batch != 2 {
+	// Defaults merged: model, quarantine and flight window flow in;
+	// listen is the bus's own.
+	if front.Model != "model.vpm" || !front.Quarantine || front.FlightWindow != 2 {
 		t.Errorf("defaults did not merge into front: %+v", front)
 	}
 	if front.Listen != "tcp://127.0.0.1:9700" {
@@ -82,8 +82,8 @@ buses:
 	}
 	cabin := p.Bus("cabin")
 	// Per-bus override wins over the default.
-	if cabin.Batch != 4 {
-		t.Errorf("cabin.batch = %d, want 4 (override)", cabin.Batch)
+	if cabin.FlightWindow != 4 {
+		t.Errorf("cabin.flight_window = %d, want 4 (override)", cabin.FlightWindow)
 	}
 	if !cabin.Recover {
 		t.Error("cabin.recover not set")
@@ -166,9 +166,9 @@ func TestParsePolicyErrors(t *testing.T) {
 			want: []string{"buses.a.quarantine.degrade_after", "must be > suspect_after (6)"},
 		},
 		{
-			name: "negative batch",
-			text: "buses:\n  a:\n    listen: tcp://127.0.0.1:1\n    model: model.vpm\n    batch: -2\n",
-			want: []string{"buses.a.batch", "must be >= 0"},
+			name: "removed batch key",
+			text: "buses:\n  a:\n    listen: tcp://127.0.0.1:1\n    model: model.vpm\n    batch: 64\n",
+			want: []string{"buses.a.batch", "removed: a feed ships what has arrived"},
 		},
 		{
 			name: "removed workers key",
@@ -234,14 +234,14 @@ func TestParsePolicyReportsAllErrors(t *testing.T) {
 buses:
   a:
     model: model.vpm
-    batch: -1
+    flight_window: -1
   b:
     listen: tcp://127.0.0.1:1
 `)
 	if err == nil {
 		t.Fatal("policy accepted")
 	}
-	for _, want := range []string{"buses.a.listen", "buses.a.batch", "buses.b.model"} {
+	for _, want := range []string{"buses.a.listen", "buses.a.flight_window", "buses.b.model"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("combined error missing %q:\n%v", want, err)
 		}
@@ -267,8 +267,8 @@ func TestValidateSpecAttachPath(t *testing.T) {
 }
 
 func TestDiffPolicies(t *testing.T) {
-	spec := func(bus, listen, model string, batch int) controlapi.BusSpec {
-		return controlapi.BusSpec{Bus: bus, Listen: listen, Model: model, Batch: batch}
+	spec := func(bus, listen, model string, window int) controlapi.BusSpec {
+		return controlapi.BusSpec{Bus: bus, Listen: listen, Model: model, FlightWindow: window}
 	}
 	old := &Policy{Buses: []controlapi.BusSpec{
 		spec("same", "tcp://h:1", "m.vpm", 2),
@@ -279,7 +279,7 @@ func TestDiffPolicies(t *testing.T) {
 	new := &Policy{Buses: []controlapi.BusSpec{
 		spec("same", "tcp://h:1", "m.vpm", 2),
 		spec("swap", "tcp://h:2", "m2.vpm", 2),   // model only → hot swap
-		spec("restart", "tcp://h:3", "m.vpm", 8), // batch changed → restart
+		spec("restart", "tcp://h:3", "m.vpm", 8), // flight window changed → restart
 		spec("fresh", "tcp://h:5", "m.vpm", 2),
 	}}
 	d := DiffPolicies(old, new)

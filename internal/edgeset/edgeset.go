@@ -75,6 +75,29 @@ func (e EdgeSelection) String() string {
 	}
 }
 
+// ConfigFor returns the extraction parameters matched to a digitizer
+// and bus bit rate, scaled from the paper's 10 MS/s reference values
+// (bit width 40, prefix 2, suffix 14) with the threshold at 1.0 V,
+// bisecting the rising edge.
+func ConfigFor(adc analog.ADC, bitRate float64) Config {
+	perBit := int(adc.SamplesPerBit(bitRate))
+	scale := float64(perBit) / 40.0
+	prefix := int(2 * scale)
+	if prefix < 1 {
+		prefix = 1
+	}
+	suffix := int(14 * scale)
+	if suffix < 3 {
+		suffix = 3
+	}
+	return Config{
+		BitWidth:     perBit,
+		BitThreshold: adc.VoltsToCode(1.0),
+		PrefixLen:    prefix,
+		SuffixLen:    suffix,
+	}
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.BitWidth < 4 {
@@ -247,6 +270,30 @@ func walkBits[E Sample](tr []E, cfg Config, lastBit int, buf canbus.BitString) (
 		}
 	}
 	return decodeState{bits: bits, pos: pos, sof: sof}, nil
+}
+
+// WireBits samples tr at bit centres from its SOF crossing to its end
+// and appends the wire bits, stuff bits included, to buf: the stream
+// canbus.DecodeFrame parses. Like walkBits it re-centres on every edge
+// it crosses, so the sampling point follows the sender's clock across
+// the frame. A trace with no SOF leaves buf unchanged.
+func WireBits[E Sample](tr []E, cfg Config, buf canbus.BitString) canbus.BitString {
+	sof := findSOF(tr, cfg.BitThreshold)
+	if sof < 0 {
+		return buf
+	}
+	prev := canbus.Dominant
+	for pos := sof + cfg.BitWidth/2; pos < len(tr); pos += cfg.BitWidth {
+		b := bitAt(tr, pos, cfg.BitThreshold)
+		if b != prev {
+			if edge := alignToEdgeCentre(tr, pos, cfg); edge >= 0 {
+				pos = edge + cfg.BitWidth/2
+			}
+		}
+		buf = append(buf, b)
+		prev = b
+	}
+	return buf
 }
 
 // findSOF returns the index of the first dominant sample — the

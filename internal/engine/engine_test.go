@@ -515,7 +515,7 @@ func TestFlagParity(t *testing.T) {
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	sort.Strings(names)
-	want := []string{"batch", "capture", "drift", "events", "flight", "flight-window", "incidents",
+	want := []string{"capture", "drift", "events", "flight", "flight-window", "incidents",
 		"max-events", "metrics", "model", "model-watch", "quarantine", "recover",
 		"stall-timeout", "workers"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
@@ -526,9 +526,7 @@ func TestFlagParity(t *testing.T) {
 	// same default); a GOMAXPROCS-valued default would bake the
 	// parsing machine's core count into help text and defeat the
 	// convention.
-	for _, f := range []string{"workers", "batch"} {
-		if def := fs.Lookup(f).DefValue; def != "0" {
-			t.Fatalf("-%s default = %q, want 0", f, def)
-		}
+	if def := fs.Lookup("workers").DefValue; def != "0" {
+		t.Fatalf("-workers default = %q, want 0", def)
 	}
 }

@@ -170,7 +170,7 @@ func TestSinkEventsOutliveLaterFrames(t *testing.T) {
 func TestReadTallyMidRun(t *testing.T) {
 	m := sharedModel(t)
 	sess := streamSession(t, buildCapture(t, 402, 400, 200), engine.WithModel(m),
-		engine.WithWorkers(2), engine.WithBatch(4), engine.WithQuarantine(true))
+		engine.WithWorkers(2), engine.BatchBound(4), engine.WithQuarantine(true))
 	frames := func() int {
 		_, rows := sess.ReadTally()
 		n := 0

@@ -13,7 +13,6 @@ type Flags struct {
 	Capture      string
 	Model        string
 	Workers      int
-	Batch        int
 	MetricsAddr  string
 	EventsPath   string
 	FlightDir    string
@@ -34,7 +33,6 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Capture, "capture", "", "capture file (plain or gzip); comma-separate several for fleet mode")
 	fs.StringVar(&f.Model, "model", "", "trained vProfile model")
 	fs.IntVar(&f.Workers, "workers", 0, "extraction worker pool size, 0 = GOMAXPROCS (fleet mode shares one pool of this size across buses)")
-	fs.IntVar(&f.Batch, "batch", 0, "most records per pipeline batch, 0 = the pipeline default; a live feed ships what has arrived")
 	fs.StringVar(&f.MetricsAddr, "metrics", "", "serve /metrics, /debug/pprof/ (and /debug/flight with -flight) on this address during the replay (e.g. :9090)")
 	fs.StringVar(&f.EventsPath, "events", "", "write a JSONL event log (plus end-of-run stats snapshot) to this file")
 	fs.StringVar(&f.FlightDir, "flight", "", "trace every frame and write forensic bundles around alarms into this directory")
@@ -56,7 +54,6 @@ func (f *Flags) Options() []Option {
 	opts := []Option{
 		WithModelPath(f.Model),
 		WithWorkers(f.Workers),
-		WithBatch(f.Batch),
 		WithMetricsAddr(f.MetricsAddr),
 		WithEventsPath(f.EventsPath),
 		WithQuarantine(f.Quarantine),

@@ -40,7 +40,7 @@ func TestFleetMembersInheritOptions(t *testing.T) {
 	pa := writeFile(t, filepath.Join(dir, "a.vptr"), buildCapture(t, 201, 700, 250))
 	pb := writeFile(t, filepath.Join(dir, "b.vptr"), buildCapture(t, 301, 650, 200))
 	tuned := ids.QuarantineConfig{SuspectAfter: 1, DegradeAfter: 2, RecoverAfter: 4}
-	opts := []engine.Option{engine.WithModel(m), engine.WithWorkers(2), engine.WithBatch(5)}
+	opts := []engine.Option{engine.WithModel(m), engine.WithWorkers(2), engine.BatchBound(5)}
 
 	lone := func(path string, extra ...engine.Option) quarantineRun {
 		t.Helper()

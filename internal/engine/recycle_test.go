@@ -201,7 +201,7 @@ func TestSinkAliasingContract(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			opts := []engine.Option{engine.WithModel(m),
-				engine.WithWorkers(sh.workers), engine.WithBatch(sh.batch),
+				engine.WithWorkers(sh.workers), engine.BatchBound(sh.batch),
 				engine.WithDrift(true), engine.WithIncidents(true)}
 			if sh.traced {
 				opts = append(opts, engine.WithFlightRecorder(t.TempDir(), 4))

@@ -40,26 +40,8 @@ func classify(err error) error {
 }
 
 // ExtractionFor derives the edge-set extraction parameters from a
-// capture header, scaling the paper's 10 MS/s reference values to the
-// capture's actual sample rate.
-func ExtractionFor(h trace.Header) edgeset.Config {
-	perBit := int(h.ADC.SamplesPerBit(h.BitRate))
-	scale := float64(perBit) / 40.0
-	prefix := int(2 * scale)
-	if prefix < 1 {
-		prefix = 1
-	}
-	suffix := int(14 * scale)
-	if suffix < 3 {
-		suffix = 3
-	}
-	return edgeset.Config{
-		BitWidth:     perBit,
-		BitThreshold: h.ADC.VoltsToCode(1.0),
-		PrefixLen:    prefix,
-		SuffixLen:    suffix,
-	}
-}
+// capture header (edgeset.ConfigFor).
+func ExtractionFor(h trace.Header) edgeset.Config { return edgeset.ConfigFor(h.ADC, h.BitRate) }
 
 // Result is one record's verdict tagged with the bus it came from
 // (empty on single-bus runs). It carries pipeline.Result's aliasing
@@ -142,7 +124,11 @@ type settings struct {
 	modelPath string
 
 	workers int
-	batch   int
+	// batch bounds the pipeline's records per batch (0 =
+	// pipeline.DefaultBatch). No option sets it: a live feed ships what
+	// has arrived, so no bound buys latency. Only the engine's own tests
+	// sweep it, through export_test.go.
+	batch int
 
 	metricsAddr  string
 	eventsPath   string
@@ -227,12 +213,6 @@ func WithModel(m *core.Model) Option { return func(s *settings) { s.model = m } 
 // WithWorkers sets the extraction pool size (0 = GOMAXPROCS). A fleet
 // shares one pool of this size across all its buses.
 func WithWorkers(n int) Option { return func(s *settings) { s.workers = n } }
-
-// WithBatch bounds the records per batch of the replay pipeline
-// (0 = pipeline.DefaultBatch). It is an upper bound: a live feed ships
-// what has arrived, so a smaller batch buys no latency. Verdicts are
-// identical at every batch size.
-func WithBatch(n int) Option { return func(s *settings) { s.batch = n } }
 
 // WithMetricsAddr serves /metrics, /metrics.json, /debug/pprof/ (and
 // /debug/flight when flight recording) for the replay's duration.

@@ -1,3 +1,15 @@
+// Package ids is the intrusion detection system vProfile integrates
+// into. Its composite monitor fuses the voltage verdict (edge-set
+// extraction and Algorithm 3) with a period monitor for timing
+// anomalies and J1939 transport reassembly, and adds per-SA
+// quarantine, the alarm vocabulary, forensics and metrics. It judges
+// per-message records: a capture file, a socket feed and a raw
+// digitizer feed cut into records by trace.Segmenter all reach it
+// through the same engine session.
+//
+// The paper positions vProfile as a component "that can integrate into
+// an IDS to enable message sender identification"; this package is
+// that integration layer.
 package ids
 
 import (
@@ -20,7 +32,7 @@ import (
 // voltage domain cannot see, and J1939 transport reassembly so
 // diagnostic traffic decodes instead of cluttering alerts. It consumes
 // per-message records (frame + trace + timestamp) — the natural unit a
-// capture replay or a segmenting front end produces.
+// capture replay or a raw feed cut by trace.Segmenter produces.
 type Composite struct {
 	models     ModelProvider
 	extraction edgeset.Config

@@ -1,10 +1,12 @@
 package ids_test
 
 import (
+	"bytes"
 	"testing"
 
 	"vprofile/internal/canbus"
 	"vprofile/internal/ids"
+	"vprofile/internal/trace"
 	"vprofile/internal/vehicle"
 )
 
@@ -78,16 +80,13 @@ func TestCompositeCatchesHijackAndFlood(t *testing.T) {
 	// timeline after the warm-up capture).
 	frames := []streamFrame{{ecu: 7, sa: v.ECUs[2].SAs()[0]}}
 	stream, _ := busStream(t, v, frames, 73)
-	det, err := ids.New(buildModel(t, v), ids.Config{Extraction: v.ExtractionConfig()})
+	seg := trace.NewSegmenter(trace.Header{Vehicle: v.Name, BitRate: v.BitRate, ADC: v.ADC}, bytes.NewReader(packCodes(stream)))
+	_, recs, err := trace.ReadAll(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := det.Push(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 {
-		t.Fatalf("%d segmented frames", len(results))
+	if len(recs) != 1 {
+		t.Fatalf("%d segmented frames", len(recs))
 	}
 	// Feed the segmented hijack frame through the composite.
 	fr, err := canbus.NewJ1939Frame(canbus.J1939ID{Priority: 6, PGN: canbus.PGNBrakes, SA: v.ECUs[2].SAs()[0]}, make([]byte, 8))

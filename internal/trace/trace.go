@@ -67,6 +67,8 @@ type Record struct {
 type Writer struct {
 	w   *bufio.Writer
 	err error
+	// codes is the buffer Write packs a trace into.
+	codes []byte
 }
 
 // NewWriter writes the header and returns a record writer.
@@ -93,16 +95,12 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 // longer than a CAN frame, traces beyond the reader's sanity bound,
 // or ADC codes outside the on-disk uint16 representation — are
 // rejected before any bytes are emitted, leaving the writer usable.
+// It packs the trace and writes it through writeRaw.
 func (w *Writer) Write(r *Record) error {
-	if w.err != nil {
-		return w.err
-	}
-	if len(r.Data) > 8 {
-		return canbus.ErrDataLength
-	}
 	if len(r.Trace) > maxSaneSamples {
 		return fmt.Errorf("%w: %d samples (max %d)", ErrTraceLength, len(r.Trace), maxSaneSamples)
 	}
+	w.codes = slices.Grow(w.codes[:0], 2*len(r.Trace))
 	for i, c := range r.Trace {
 		// uint16(c) would silently wrap negative or oversized codes
 		// (and NaN, which fails every comparison, converts to an
@@ -110,18 +108,37 @@ func (w *Writer) Write(r *Record) error {
 		if !(c >= 0 && c <= math.MaxUint16) {
 			return fmt.Errorf("%w: sample %d = %g", ErrCodeRange, i, c)
 		}
+		w.codes = binary.LittleEndian.AppendUint16(w.codes, uint16(c))
 	}
-	w.u32(uint32(int32(r.ECUIndex)))
+	return w.writeRaw(&RawRecord{
+		ECUIndex: r.ECUIndex, TimeSec: r.TimeSec, FrameID: r.FrameID, Data: r.Data, Codes: w.codes,
+	})
+}
+
+// writeRaw appends one record whose sample codes are already packed,
+// the form NextRawInto reads. Data longer than a CAN frame, an odd
+// code byte count or more samples than the reader's sanity bound are
+// rejected before any bytes are emitted.
+func (w *Writer) writeRaw(r *RawRecord) error {
+	if w.err != nil {
+		return w.err
+	}
+	if len(r.Data) > 8 {
+		return canbus.ErrDataLength
+	}
+	if len(r.Codes)%2 != 0 {
+		return fmt.Errorf("trace: %d code bytes is not a whole number of samples", len(r.Codes))
+	}
+	if n := len(r.Codes) / 2; n > maxSaneSamples {
+		return fmt.Errorf("%w: %d samples (max %d)", ErrTraceLength, n, maxSaneSamples)
+	}
+	w.u32(uint32(r.ECUIndex))
 	w.f64(r.TimeSec)
 	w.u32(r.FrameID)
 	w.u16(uint16(len(r.Data)))
-	if w.err == nil {
-		_, w.err = w.w.Write(r.Data)
-	}
-	w.u32(uint32(len(r.Trace)))
-	for _, c := range r.Trace {
-		w.u16(uint16(c))
-	}
+	w.bytes(r.Data)
+	w.u32(uint32(len(r.Codes) / 2))
+	w.bytes(r.Codes)
 	return w.err
 }
 
@@ -154,6 +171,12 @@ func (w *Writer) f64(v float64) {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 		_, w.err = w.w.Write(b[:])
+	}
+}
+
+func (w *Writer) bytes(b []byte) {
+	if w.err == nil {
+		_, w.err = w.w.Write(b)
 	}
 }
 

@@ -192,27 +192,8 @@ func NewSterlingActerra() *Vehicle {
 }
 
 // ExtractionConfig returns the edge-set extraction parameters matched
-// to the vehicle's digitizer, scaled from the paper's 10 MS/s
-// reference values (bit width 40, prefix 2, suffix 14, threshold
-// bisecting the rising edge).
-func (v *Vehicle) ExtractionConfig() edgeset.Config {
-	perBit := int(v.ADC.SamplesPerBit(v.BitRate))
-	scale := float64(perBit) / 40.0
-	prefix := int(2 * scale)
-	if prefix < 1 {
-		prefix = 1
-	}
-	suffix := int(14 * scale)
-	if suffix < 3 {
-		suffix = 3
-	}
-	return edgeset.Config{
-		BitWidth:     perBit,
-		BitThreshold: v.ADC.VoltsToCode(1.0),
-		PrefixLen:    prefix,
-		SuffixLen:    suffix,
-	}
-}
+// to the vehicle's digitizer (edgeset.ConfigFor).
+func (v *Vehicle) ExtractionConfig() edgeset.Config { return edgeset.ConfigFor(v.ADC, v.BitRate) }
 
 // ForeignDevice returns a transceiver for the foreign-intruder threat
 // model: an attacker-built node tuned to imitate the victim ECU's
