@@ -35,18 +35,19 @@ lint:
 	golangci-lint run
 
 # fuzz runs each native fuzz target for FUZZTIME, seeded from the
-# committed corpora under testdata/fuzz/. CI runs the same targets as
-# separate smoke jobs.
+# committed corpora under testdata/fuzz/, and caps the minimization of
+# each new-coverage input at 5s so the time goes to fuzzing. CI runs
+# the same targets as separate smoke jobs.
 fuzz:
-	$(GO) test -fuzz '^FuzzReaderResync$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
-	$(GO) test -fuzz '^FuzzNextRawInto$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
-	$(GO) test -fuzz '^FuzzEdgeExtract$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/edgeset
-	$(GO) test -fuzz '^FuzzDatagramAccept$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
-	$(GO) test -fuzz '^FuzzSegment$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
-	$(GO) test -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/control
-	$(GO) test -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
-	$(GO) test -fuzz '^FuzzDetectMatchesExplain$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
-	$(GO) test -fuzz '^FuzzDecodeBody$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/control/controlserver
+	$(GO) test -fuzz '^FuzzReaderResync$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/trace
+	$(GO) test -fuzz '^FuzzNextRawInto$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/trace
+	$(GO) test -fuzz '^FuzzEdgeExtract$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/edgeset
+	$(GO) test -fuzz '^FuzzDatagramAccept$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/trace
+	$(GO) test -fuzz '^FuzzSegment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/trace
+	$(GO) test -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/control
+	$(GO) test -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/core
+	$(GO) test -fuzz '^FuzzDetectMatchesExplain$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/core
+	$(GO) test -fuzz '^FuzzDecodeBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/control/controlserver
 
 # bench writes the replay benchmark ablation table — sequential vs
 # 1/2/4/8 workers on the engine path, each optional layer (metrics,

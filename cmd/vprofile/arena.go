@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -12,10 +14,8 @@ import (
 	"vprofile/internal/baseline"
 	"vprofile/internal/core"
 	"vprofile/internal/edgeset"
-	"vprofile/internal/ids"
-	"vprofile/internal/pipeline"
+	"vprofile/internal/engine"
 	"vprofile/internal/stats"
-	"vprofile/internal/trace"
 	"vprofile/internal/vehicle"
 )
 
@@ -130,7 +130,7 @@ func cmdArena(args []string) error {
 		if err != nil {
 			return fmt.Errorf("arena: scenario %s: %w", spec.Name, err)
 		}
-		row, err := arenaComposite(v, model, cfg, spec.Name, msgs, *workers)
+		row, err := arenaComposite(v, model, spec, *seed, msgs, *workers)
 		if err != nil {
 			return fmt.Errorf("arena: scenario %s: %w", spec.Name, err)
 		}
@@ -211,48 +211,34 @@ func finishRow(row *arenaRow, cm stats.ConfusionMatrix) {
 	}
 }
 
-// arenaComposite replays one scenario through a fresh composite
-// detector on the concurrent pipeline and scores Alarm() against the
-// generator's ground truth. Quarantine stays off: the arena measures
-// raw per-frame detection, not operator-facing coalescing.
-func arenaComposite(v *vehicle.Vehicle, model *core.Model, cfg edgeset.Config, scenario string, msgs []attack.Message, workers int) (arenaRow, error) {
-	mon, err := ids.NewComposite(model, ids.CompositeConfig{Extraction: cfg})
+// arenaComposite stages one scenario's messages as a capture and
+// replays it through an engine session — the path the daemon runs —
+// scoring each verdict's Alarm() against the labels the capture was
+// written with. Quarantine stays off: the arena measures raw per-frame
+// detection, not operator-facing coalescing.
+func arenaComposite(v *vehicle.Vehicle, model *core.Model, spec attack.ScenarioSpec, seed int64, msgs []attack.Message, workers int) (arenaRow, error) {
+	var buf bytes.Buffer
+	labels, err := attack.WriteMessages(&buf, v, spec, seed, msgs)
 	if err != nil {
 		return arenaRow{}, err
 	}
-	injected := make([]bool, len(msgs))
-	src, err := stageCapture(v, func(tw *trace.Writer) error {
-		for i, m := range msgs {
-			injected[i] = m.Injected
-			err := tw.Write(&trace.Record{
-				ECUIndex: int32(m.ECUIndex), TimeSec: m.TimeSec,
-				FrameID: m.Frame.ID, Data: m.Frame.Data, Trace: m.Trace,
-			})
-			if err != nil {
-				return err
-			}
-		}
+	src, err := engine.NewStreamSource(spec.Name, io.NopCloser(&buf))
+	if err != nil {
+		return arenaRow{}, err
+	}
+	board := engine.NewScoreboard(labels)
+	sum, err := engine.NewSession("", engine.WithName(spec.Name), engine.WithSource(src),
+		engine.WithModel(model), engine.WithWorkers(workers)).Run(func(res engine.Result) error {
+		board.Observe(res.Index, res.Verdict)
 		return nil
 	})
 	if err != nil {
 		return arenaRow{}, err
 	}
-	defer src.Release()
-	row := arenaRow{Detector: "composite", Scenario: scenario}
-	var cm stats.ConfusionMatrix
-	st, err := pipeline.Replay(src, mon, pipeline.Config{Workers: workers}, func(res pipeline.Result) error {
-		if res.Verdict.ExtractErr != nil {
-			row.ExtractFails++
-		}
-		cm.Add(injected[res.Index], res.Verdict.Alarm())
-		return nil
-	})
-	if err != nil {
-		return arenaRow{}, err
-	}
-	finishRow(&row, cm)
+	row := arenaRow{Detector: "composite", Scenario: spec.Name, ExtractFails: board.ExtractFails()}
+	finishRow(&row, board.Matrix())
 	if len(msgs) > 0 {
-		row.MeanLatencyUS = st.WallTime.Seconds() * 1e6 / float64(len(msgs))
+		row.MeanLatencyUS = sum.Stats.WallTime.Seconds() * 1e6 / float64(len(msgs))
 	}
 	return row, nil
 }

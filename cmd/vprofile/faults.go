@@ -6,16 +6,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"vprofile/internal/analog"
 	"vprofile/internal/core"
 	"vprofile/internal/edgeset"
+	"vprofile/internal/engine"
 	"vprofile/internal/faults"
-	"vprofile/internal/ids"
 	"vprofile/internal/obs"
-	"vprofile/internal/pipeline"
 	"vprofile/internal/trace"
 	"vprofile/internal/vehicle"
 )
@@ -74,7 +73,7 @@ func cmdFaults(args []string) error {
 	faultSeed := fs.Int64("fault-seed", 1, "fault injection seed")
 	jsonOut := fs.String("json", "", "also write the sweep as JSON to this file")
 	workers := fs.Int("workers", 0, "extraction worker pool size (0 = GOMAXPROCS)")
-	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof/ on this address during the sweep (e.g. :9090)")
+	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof/ on this address during the sweep, one bus label per intensity step (e.g. :9090)")
 	stall := fs.Duration("stall-timeout", 0, "abort a step if its verdict stream stalls this long (0 disables the watchdog)")
 	fs.Parse(args)
 
@@ -129,26 +128,24 @@ func cmdFaults(args []string) error {
 		return err
 	}
 
-	// The replay config mirrors busmon's: per-stage metrics and the
-	// stall watchdog pass straight through to the pipeline each
-	// intensity step runs on. One registry spans the sweep (the
-	// instruments are cumulative across steps).
-	rcfg := pipeline.Config{Workers: *workers, StallTimeout: *stall}
-	if *metricsAddr != "" {
-		reg := obs.NewRegistry()
-		rcfg.Metrics = pipeline.NewMetrics(reg)
-		srv, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = srv.ShutdownTimeout(2 * time.Second) }()
-		fmt.Fprintf(os.Stderr, "faults: serving /metrics and /debug/pprof/ on http://%s\n", srv.Addr())
+	// Every intensity step runs as a member of one fleet: one worker
+	// pool, one stall watchdog setting, and with -metrics one server
+	// whose per-bus labels are the steps.
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "faults: "+format+"\n", args...)
 	}
+	fleet, err := engine.NewFleet(nil, engine.WithModel(model), engine.WithWorkers(*workers),
+		engine.WithQuarantine(true), engine.WithStallTimeout(*stall),
+		engine.WithMetricsAddr(*metricsAddr), engine.WithLogf(logf))
+	if err != nil {
+		return err
+	}
+	defer func() { _ = fleet.Close() }()
 
 	points := make([]faultsPoint, 0, *steps)
 	for s := 0; s < *steps; s++ {
 		k := float64(s) / float64(*steps-1)
-		pt, err := faultsStep(v, model, extraction, base.Scale(k), k, *faultSeed, clean, attack, rcfg)
+		pt, err := faultsStep(fleet, fmt.Sprintf("step%d", s), v, base.Scale(k), k, *faultSeed, clean, attack)
 		if err != nil {
 			return fmt.Errorf("intensity %.2f: %w", k, err)
 		}
@@ -181,69 +178,53 @@ func cmdFaults(args []string) error {
 	return nil
 }
 
-// stageCapture writes in-memory records through a capture writer and
-// returns a reader over the bytes, so an in-process replay reads
-// exactly what a capture file of v would carry, the writer's range
-// checks included.
-func stageCapture(v *vehicle.Vehicle, write func(*trace.Writer) error) (*trace.Reader, error) {
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, trace.Header{Vehicle: v.Name, BitRate: v.BitRate, ADC: v.ADC})
-	if err != nil {
-		return nil, err
-	}
-	if err := write(tw); err != nil {
-		return nil, err
-	}
-	if err := tw.Flush(); err != nil {
-		return nil, err
-	}
-	return trace.NewReader(&buf)
-}
-
-// faultsStep replays one intensity step through a fresh
-// quarantine-enabled composite on the concurrent pipeline: the clean
-// capture first (measuring false alarms), then the foreign-device
-// capture (measuring whether the attack is still caught). Fault
-// injection happens sequentially while staging the records — each
-// pre-rendered trace is copied into a scratch trace first so steps
-// never contaminate each other — and the pipeline's reordering stage
-// keeps the accounting identical to the old sequential replay.
-func faultsStep(v *vehicle.Vehicle, model *core.Model, extraction edgeset.Config, spec faults.Spec, k float64, faultSeed int64, clean, attack *vehicle.Capture, rcfg pipeline.Config) (faultsPoint, error) {
+// faultsStep replays one intensity step as a fleet member named bus:
+// the clean capture first (measuring false alarms), then the
+// foreign-device capture (measuring whether the attack is still
+// caught). Fault injection happens sequentially while staging the
+// records — each pre-rendered trace is copied into a scratch trace
+// first so steps never contaminate each other — and the session's
+// reordering stage keeps the accounting identical to a sequential
+// replay.
+func faultsStep(fleet *engine.Fleet, bus string, v *vehicle.Vehicle, spec faults.Spec, k float64, faultSeed int64, clean, attack *vehicle.Capture) (faultsPoint, error) {
 	inj, err := faults.NewInjector(spec, faultSeed, v.ADC)
 	if err != nil {
 		return faultsPoint{}, err
 	}
-	mon, err := ids.NewComposite(model, ids.CompositeConfig{
-		Extraction: extraction,
-		Quarantine: &ids.QuarantineConfig{},
-	})
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, trace.Header{Vehicle: v.Name, BitRate: v.BitRate, ADC: v.ADC})
 	if err != nil {
 		return faultsPoint{}, err
 	}
-	src, err := stageCapture(v, func(tw *trace.Writer) error {
-		// The writer serialises each record before the next message
-		// overwrites the scratch trace.
-		var tr analog.Trace
-		n := 0
-		for _, msgs := range [][]vehicle.Message{clean.Messages, attack.Messages} {
-			for _, m := range msgs {
-				tr = append(tr[:0], m.Trace...)
-				inj.Apply(n, m.ECUIndex, m.TimeSec, tr)
-				n++
-				if err := tw.Write(&trace.Record{TimeSec: m.TimeSec, FrameID: m.Frame.ID, Data: m.Frame.Data, Trace: tr}); err != nil {
-					return err
-				}
+	// The writer serialises each record before the next message
+	// overwrites the scratch trace.
+	var tr analog.Trace
+	n := 0
+	for _, msgs := range [][]vehicle.Message{clean.Messages, attack.Messages} {
+		for _, m := range msgs {
+			tr = append(tr[:0], m.Trace...)
+			inj.Apply(n, m.ECUIndex, m.TimeSec, tr)
+			n++
+			if err := tw.Write(&trace.Record{TimeSec: m.TimeSec, FrameID: m.Frame.ID, Data: m.Frame.Data, Trace: tr}); err != nil {
+				return faultsPoint{}, err
 			}
 		}
-		return nil
-	})
+	}
+	if err := tw.Flush(); err != nil {
+		return faultsPoint{}, err
+	}
+	src, err := engine.NewStreamSource(bus, io.NopCloser(&buf))
 	if err != nil {
 		return faultsPoint{}, err
 	}
-	defer src.Release()
+	member, err := fleet.Attach(bus, src)
+	if err != nil {
+		_ = src.Close()
+		return faultsPoint{}, err
+	}
 
 	pt := faultsPoint{Intensity: k, Spec: spec.String()}
-	_, err = pipeline.Replay(src, mon, rcfg, func(res pipeline.Result) error {
+	sum, err := member.Run(func(res engine.Result) error {
 		r := res.Verdict
 		suspicious := r.Flagged().Has(obs.AlarmAnalog)
 		if r.ExtractErr != nil {
@@ -277,6 +258,6 @@ func faultsStep(v *vehicle.Vehicle, model *core.Model, extraction edgeset.Config
 	if pt.AttackFrames > 0 {
 		pt.TPR = float64(pt.AttackCaught) / float64(pt.AttackFrames)
 	}
-	pt.DegradedSAs = mon.DegradedSAs()
+	pt.DegradedSAs = sum.DegradedSAs
 	return pt, nil
 }

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	vprofile train  -capture train.vptr -model model.vpm [-metric mahalanobis] [-margin 10]
-//	vprofile detect -capture test.vptr  -model model.vpm [-labels test.labels.json] [-workers 8] [-metrics :9090] [-events run.jsonl] [-flight forensics/]
-//	vprofile fleet  -capture a.vptr,b.vptr -model model.vpm [-metrics :9090]
+//	vprofile detect -capture test.vptr  -model model.vpm [-labels test.labels.json] [-timeline] [-workers 8] [-metrics :9090] [-events run.jsonl] [-flight forensics/]
+//	vprofile detect -capture a.vptr,b.vptr -model model.vpm [-incidents] [-quarantine]   (fleet mode)
 //	vprofile update -capture new.vptr   -model model.vpm -out updated.vpm
 //	vprofile info   -model model.vpm
 //	vprofile faults -vehicle b -faults all -steps 6 -json sweep.json
@@ -15,11 +15,12 @@
 //	vprofile status [-control 127.0.0.1:9620] [-bus front] [-json]
 //	vprofile tail   [-control 127.0.0.1:9620] [-after N] [-once]
 //
-// detect and fleet expose the same session flag set as busmon
-// (internal/engine registers it for all three), including -recover,
-// -quarantine, -stall-timeout and -model-watch. Exit status is 2 for
-// usage errors, 3 when a replay aborts mid-stream (stall watchdog,
-// unrecovered corruption), 1 for other errors.
+// detect replays captures through the composed IDS — vProfile voltage
+// fingerprinting, the period monitor and J1939 transport reassembly —
+// with the session flag set internal/engine registers, including
+// -recover, -quarantine, -stall-timeout and -model-watch. Exit status
+// is 2 for usage errors, 3 when a replay aborts mid-stream (stall
+// watchdog, unrecovered corruption), 1 for other errors.
 package main
 
 import (
@@ -32,7 +33,6 @@ import (
 	"vprofile/internal/core"
 	"vprofile/internal/edgeset"
 	"vprofile/internal/engine"
-	"vprofile/internal/obs"
 	"vprofile/internal/trace"
 )
 
@@ -46,8 +46,6 @@ func main() {
 		err = cmdTrain(os.Args[2:])
 	case "detect":
 		err = cmdDetect(os.Args[2:])
-	case "fleet":
-		err = cmdFleet(os.Args[2:])
 	case "update":
 		err = cmdUpdate(os.Args[2:])
 	case "info":
@@ -70,15 +68,25 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vprofile:", err)
 		var abort *engine.AbortError
-		if errors.As(err, &abort) {
+		var usage usageError
+		switch {
+		case errors.As(err, &abort):
 			os.Exit(3)
+		case errors.As(err, &usage):
+			os.Exit(2)
 		}
 		os.Exit(1)
 	}
 }
 
+// usageError is a bad command line; main exits 2 on it, as it does on
+// an unknown subcommand.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: vprofile {train|detect|fleet|update|info|faults|arena|attach|detach|status|tail} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: vprofile {train|detect|update|info|faults|arena|attach|detach|status|tail} [flags]")
 	os.Exit(2)
 }
 
@@ -153,92 +161,6 @@ func cmdTrain(args []string) error {
 					c.ID, c.N, model.Dim)
 			}
 		}
-	}
-	return nil
-}
-
-func cmdDetect(args []string) error {
-	fs := flag.NewFlagSet("detect", flag.ExitOnError)
-	fl := engine.RegisterFlags(fs)
-	verbose := fs.Bool("v", false, "print every anomalous message")
-	labelsPath := fs.String("labels", "", "ground-truth labels sidecar (tracegen -scenario); scores TPR/FPR against it")
-	fs.Parse(args)
-	if fl.Capture == "" {
-		return errors.New("detect: -capture is required")
-	}
-	if fl.Model == "" {
-		fl.Model = "model.vpm"
-	}
-	var board *engine.Scoreboard
-	if *labelsPath != "" {
-		var err error
-		if board, err = engine.LoadScoreboard(*labelsPath); err != nil {
-			return err
-		}
-	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "detect: "+format+"\n", args...)
-	}
-	s := engine.NewSession(fl.Capture, append(fl.Options(), engine.WithLogf(logf))...)
-
-	// Replay through the concurrent pipeline: the voltage verdicts are
-	// identical to classifying each preprocessed sample in order, but
-	// the capture streams instead of loading into memory and the hot
-	// path fans out across the worker pool. The session tallies every
-	// verdict and writes its events; the sink only breaks the voltage
-	// alarms down by reason, printed in core.Reason order.
-	var reasons [core.ReasonOverThreshold + 1]int
-	sum, err := s.Run(func(res engine.Result) error {
-		r := res.Result
-		if board != nil {
-			board.Observe(r.Index, r.Verdict)
-		}
-		if d := r.Verdict.Voltage; r.Verdict.Flagged().Has(obs.AlarmVoltage) {
-			reasons[d.Reason]++
-			if *verbose {
-				fmt.Printf("message %6d: SA %#02x flagged (%s, dist %.2f, predicted cluster %d)\n",
-					r.Index, uint8(r.Frame.SA()), d.Reason, d.MinDist, d.Predict)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// A trace too mangled to preprocess is suspicious evidence, not a
-	// replay failure: it is counted apart from the classified messages.
-	// A capture with nothing classifiable flags 0%.
-	t := sum.Tally
-	classified := t.Frames() - t.PreprocFailed
-	pct := 0.0
-	if classified > 0 {
-		pct = 100 * float64(t.VoltAlarms) / float64(classified)
-	}
-	fmt.Printf("classified %d messages: %d flagged (%.4f%%) in %.2fs with %d workers\n",
-		classified, t.VoltAlarms, pct, sum.Stats.WallTime.Seconds(), sum.Stats.Workers)
-	for r, n := range reasons {
-		if n > 0 {
-			fmt.Printf("  %-18s %d\n", core.Reason(r).String()+":", n)
-		}
-	}
-	if t.PreprocFailed > 0 {
-		fmt.Printf("preprocess failures: %d\n", t.PreprocFailed)
-	}
-	if len(sum.Corruptions) > 0 {
-		fmt.Printf("capture corruption: %d stretches recovered\n", len(sum.Corruptions))
-	}
-	if fl.Quarantine {
-		fmt.Printf("quarantine: %d SAs degraded at end\n", sum.DegradedSAs)
-	}
-	if sum.Flight != nil {
-		fmt.Printf("flight recorder: %d frames traced, %d alarms, %d bundles → %s\n",
-			sum.Flight.Frames, sum.Flight.Alarms, sum.Flight.Bundles, fl.FlightDir)
-	}
-	if sum.ModelSwaps > 0 {
-		fmt.Printf("model: %d hot swaps, final version %d\n", sum.ModelSwaps, sum.ModelVersion)
-	}
-	if board != nil {
-		fmt.Println(board)
 	}
 	return nil
 }

@@ -121,6 +121,14 @@ func WriteCorpus(w io.Writer, v *vehicle.Vehicle, spec ScenarioSpec, n int, seed
 	if err != nil {
 		return nil, err
 	}
+	return WriteMessages(w, v, spec, seed, msgs)
+}
+
+// WriteMessages streams messages GenerateScenario already rendered for
+// (spec, seed) as a capture file and returns their ground-truth labels
+// — WriteCorpus without the generation, for a caller that also scores
+// the messages in memory.
+func WriteMessages(w io.Writer, v *vehicle.Vehicle, spec ScenarioSpec, seed int64, msgs []Message) (*Labels, error) {
 	tw, err := trace.NewWriter(w, trace.Header{Vehicle: v.Name, BitRate: v.BitRate, ADC: v.ADC})
 	if err != nil {
 		return nil, err

@@ -110,7 +110,7 @@ const (
 // TallySnapshot is a bus's verdict accounting: the summary counters
 // plus the per-SA table of the session's engine.Tally — the same
 // tally every replay tool runs, so a batch replay of the same capture
-// (busmon's summary and per-SA table) reports the same numbers, and
+// (vprofile detect's summary and per-SA table) reports the same numbers, and
 // stream-vs-batch determinism is asserted against this.
 type TallySnapshot struct {
 	Frames        int               `json:"frames"`

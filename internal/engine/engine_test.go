@@ -476,8 +476,14 @@ func TestHotSwapConcurrent(t *testing.T) {
 		}
 	}()
 
+	pool := pipeline.NewPool(4)
+	defer pool.Close()
+	rep, err := pipeline.New(mon, pipeline.Config{Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []core.Detection
-	_, err = pipeline.Replay(rd, mon, pipeline.Config{Workers: 4}, func(r pipeline.Result) error {
+	err = rep.Run(rd, func(r pipeline.Result) error {
 		got = append(got, r.Verdict.Voltage)
 		return nil
 	})

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// Flags is the session flag set shared by every replay-driving CLI
-// (busmon, vprofile detect, vprofile fleet). Registering it through
-// RegisterFlags gives the tools identical names, defaults and help
-// text by construction — flag parity is structural, not copied.
+// Flags is the session flag set of the replay-driving CLI (vprofile
+// detect, for one capture or a fleet of them). Registering it through
+// RegisterFlags keeps its names, defaults and help text in one place,
+// beside the options they translate to.
 type Flags struct {
 	Capture      string
 	Model        string

@@ -307,6 +307,7 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 			}
 		}
 		if err != nil {
+			s.closeSource()
 			return Summary{Bus: s.name, Capture: s.capture, Tally: s.live.tally}, err
 		}
 	}
@@ -329,6 +330,7 @@ func (s *Session) run(sink Sink) (Summary, error) {
 	sum := Summary{Bus: s.name, Capture: s.capture, Tally: s.live.tally}
 	f := s.host
 	if err := f.begin(); err != nil {
+		s.closeSource()
 		return sum, err
 	}
 	defer f.leave(s)
@@ -487,6 +489,14 @@ func (s *Session) run(sink Sink) (Summary, error) {
 	sum.ModelSwaps = sum.ModelVersion - startVersion
 	sum.Gaps = rd.Gaps()
 	return sum, classify(err)
+}
+
+// closeSource closes a WithSource source on a path that returns before
+// the replay opens it: the session owns the source either way.
+func (s *Session) closeSource() {
+	if s.source != nil {
+		_ = s.source.Close()
+	}
 }
 
 // Stop asks a running session to drain: the stream source ends at the

@@ -22,12 +22,11 @@ import (
 // backpressure falls out of the blocking Read: when the pipeline is
 // saturated the source simply reads the transport slower.
 type StreamSource struct {
-	name    string
-	rd      *trace.Reader
-	closer  io.Closer
-	sr      *stopReader
-	gaps    func() trace.GapStats
-	stopped atomic.Bool
+	name   string
+	rd     *trace.Reader
+	closer io.Closer
+	sr     *stopReader
+	gaps   func() trace.GapStats
 }
 
 // readDeadliner is the optional transport hook a drain uses to
@@ -139,13 +138,7 @@ func (s *StreamSource) Gaps() *trace.GapStats {
 // io.EOF, and a read blocked in the transport is interrupted via its
 // read deadline. The replay then drains normally — pipeline flush,
 // summary, event-log close — exactly as if the capture had ended.
-func (s *StreamSource) Stop() {
-	s.stopped.Store(true)
-	s.sr.stop()
-}
-
-// Stopped reports whether Stop has been called.
-func (s *StreamSource) Stopped() bool { return s.stopped.Load() }
+func (s *StreamSource) Stop() { s.sr.stop() }
 
 // Close releases the transport and returns the reader's pooled read
 // buffer. It must not run while a read is in flight; a session closes
@@ -166,7 +159,7 @@ func (s *StreamSource) Buffered() int { return s.rd.Buffered() }
 // NextRawInto implements pipeline.Source: it refills rec with the next
 // record, or returns io.EOF once the stream ends or Stop was called.
 func (s *StreamSource) NextRawInto(rec *trace.RawRecord) error {
-	if s.stopped.Load() {
+	if s.sr.stopped.Load() {
 		return io.EOF
 	}
 	return s.rd.NextRawInto(rec)

@@ -313,3 +313,58 @@ func TestSinkErrorStopsLiveFeed(t *testing.T) {
 		t.Fatal("session kept reading the live feed after its sink failed")
 	}
 }
+
+// closeRecorder is a capture stream that records whether it was
+// closed.
+type closeRecorder struct {
+	io.Reader
+	closed atomic.Bool
+}
+
+func (c *closeRecorder) Close() error {
+	c.closed.Store(true)
+	return nil
+}
+
+// TestSessionClosesSourceOnSetupFailure: a session owns a WithSource
+// source, so a Run that fails before the replay starts still closes
+// it — a session without a model, and a member whose fleet closed
+// between Attach and Run.
+func TestSessionClosesSourceOnSetupFailure(t *testing.T) {
+	data := buildCapture(t, 205, 20, 5)
+	newSource := func() (*engine.StreamSource, *closeRecorder) {
+		rc := &closeRecorder{Reader: bytes.NewReader(data)}
+		src, err := engine.NewStreamSource("recorded", rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src, rc
+	}
+
+	src, rc := newSource()
+	if _, err := engine.NewSession("", engine.WithSource(src)).Run(nil); err == nil {
+		t.Fatal("a session without a model ran")
+	}
+	if !rc.closed.Load() {
+		t.Fatal("no-model session left its source open")
+	}
+
+	fleet, err := engine.NewFleet(nil, engine.WithModel(sharedModel(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, rc = newSource()
+	sess, err := fleet.Attach("late", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(nil); err == nil {
+		t.Fatal("a member ran on a closed fleet")
+	}
+	if !rc.closed.Load() {
+		t.Fatal("member of a closed fleet left its source open")
+	}
+}

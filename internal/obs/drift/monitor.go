@@ -323,7 +323,7 @@ func (m *Monitor) Generation() uint64 {
 }
 
 // SAStatus is the externally visible per-SA drift state, served on
-// /drift and summarized in busmon's end-of-run table.
+// /drift and summarized in vprofile detect's end-of-run table.
 type SAStatus struct {
 	SA     uint8  `json:"sa"`
 	State  string `json:"state"`

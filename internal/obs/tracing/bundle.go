@@ -22,7 +22,7 @@ import (
 //	waveform.vptr    the frames' raw voltage traces as a standard
 //	                 capture file — openable by trace.OpenReader,
 //	                 plottable by vplot -bundle, even replayable
-//	                 straight back through busmon
+//	                 straight back through vprofile detect
 type Bundle struct {
 	Seq        int     `json:"seq"`
 	Trace      TraceID `json:"trace"`

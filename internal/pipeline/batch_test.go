@@ -77,7 +77,7 @@ func TestBatchedPipelineMatchesSequential(t *testing.T) {
 					rd = &drySource{Source: rd, rng: rand.New(rand.NewSource(int64(workers*100 + batch)))}
 				}
 				mon := newMonitor(t, v, model)
-				p, err := pipeline.New(mon, pipeline.Config{Workers: workers, Batch: batch})
+				p, err := pipeline.New(mon, pipeline.Config{Pool: newPool(t, workers), Batch: batch})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,8 +121,7 @@ func TestAbandonedBatchReleasesBuffers(t *testing.T) {
 	model := buildModel(t, v)
 	capture := buildCapture(t, v)
 
-	pool := pipeline.NewPool(4)
-	defer pool.Close()
+	pool := newPool(t, 4)
 
 	sinkErr := errors.New("sink exploded")
 	rd, err := trace.NewReader(bytes.NewReader(capture))
@@ -188,7 +187,7 @@ func TestSourceErrorFlushesPrefixUnderBatching(t *testing.T) {
 	srcErr := errors.New("source corrupted")
 	src := &errorSource{src: newReaderFor(t, capture), n: 25, err: srcErr}
 	mon := newMonitor(t, v, model)
-	p, err := pipeline.New(mon, pipeline.Config{Workers: 4, Batch: 8})
+	p, err := pipeline.New(mon, pipeline.Config{Pool: newPool(t, 4), Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

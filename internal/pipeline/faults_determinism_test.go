@@ -94,7 +94,7 @@ func TestFaultedReplayDeterminism(t *testing.T) {
 		if workers == 0 {
 			_, err = pipeline.Sequential(rd, mon, sink)
 		} else {
-			_, err = pipeline.Replay(rd, mon, pipeline.Config{Workers: workers}, sink)
+			_, err = replay(rd, mon, pipeline.Config{Pool: newPool(t, workers)}, sink)
 		}
 		if err != nil {
 			t.Fatal(err)

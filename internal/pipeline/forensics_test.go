@@ -73,7 +73,7 @@ func TestFlightRecorderDeterminism(t *testing.T) {
 			}
 			mon := newMonitor(t, v, model)
 			idx := 0
-			_, err = pipeline.Replay(rd, mon, pipeline.Config{Workers: workers, Recorder: rec}, func(r pipeline.Result) error {
+			_, err = replay(rd, mon, pipeline.Config{Pool: newPool(t, workers), Recorder: rec}, func(r pipeline.Result) error {
 				if d := diffResults(want[r.Index], r.Verdict); d != "" {
 					t.Fatalf("record %d diverges with flight recorder on: %s", r.Index, d)
 				}
@@ -146,7 +146,7 @@ func TestFlightBundleReproducesAlarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := newMonitor(t, v, model)
-	_, err = pipeline.Replay(rd, mon, pipeline.Config{Workers: 4, Recorder: rec}, nil)
+	_, err = replay(rd, mon, pipeline.Config{Pool: newPool(t, 4), Recorder: rec}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFlightBundlesOwnTheirRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := newMonitor(t, v, model)
-	if _, err := pipeline.Replay(rd, mon, pipeline.Config{Workers: 4, Recorder: rec}, nil); err != nil {
+	if _, err := replay(rd, mon, pipeline.Config{Pool: newPool(t, 4), Recorder: rec}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
@@ -264,7 +264,7 @@ func TestRecorderOffFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := newMonitor(t, v, model)
-	_, err = pipeline.Replay(rd, mon, pipeline.Config{Workers: 4}, func(r pipeline.Result) error {
+	_, err = replay(rd, mon, pipeline.Config{Pool: newPool(t, 4)}, func(r pipeline.Result) error {
 		if r.Trace != nil {
 			t.Fatalf("record %d carries a trace on the fast path", r.Index)
 		}

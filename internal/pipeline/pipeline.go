@@ -12,7 +12,8 @@
 //  2. a worker pool fans out the stateless hot path — edge-set
 //     extraction and vProfile scoring straight from each record's
 //     packed ADC codes (Composite.VoltageVerdictCodes, with a nil
-//     trace on an untraced replay) — across GOMAXPROCS goroutines;
+//     trace on an untraced replay) — across the goroutines of a Pool,
+//     which several replays may share;
 //  3. a reordering stage re-sequences results by record index and
 //     runs the stateful detectors (period monitor, transport
 //     reassembly) in arrival order via Composite.Sequence.
@@ -39,7 +40,6 @@ package pipeline
 import (
 	"errors"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,13 +72,10 @@ const DefaultBatch = 64
 
 // Config parameterises a replay.
 type Config struct {
-	// Workers is the extraction/scoring pool size; zero or negative
-	// means runtime.GOMAXPROCS(0). Ignored when Pool is set.
-	Workers int
-	// Pool, when non-nil, runs the hot path on a shared worker pool
-	// instead of a private one — several concurrent replays (fleet
-	// mode) then contend for one bounded set of goroutines. The pool
-	// must outlive the replay; the replay does not close it.
+	// Pool runs the stateless hot path; it is required. Several
+	// concurrent replays (the buses of a fleet) share one and contend
+	// for its bounded set of goroutines. The pool must outlive the
+	// replay; the replay does not close it.
 	Pool *Pool
 	// Batch is the most records exchanged per channel operation
 	// between stages; zero means DefaultBatch. It is an upper bound:
@@ -90,7 +87,7 @@ type Config struct {
 	Batch int
 	// Depth is the capacity of each inter-stage channel in batches,
 	// bounding how far the reader may run ahead of the sink (roughly
-	// Depth×Batch records per channel); zero means 4×Workers.
+	// Depth×Batch records per channel); zero means 4× the pool size.
 	Depth int
 	// Metrics, when non-nil, makes the pipeline publish per-stage
 	// counters, latency histograms and the reorder-queue depth gauge
@@ -156,6 +153,7 @@ type Sink func(Result) error
 // Stats is a snapshot of the pipeline's per-stage counters. It may be
 // taken while the replay is still running.
 type Stats struct {
+	// Workers is the size of the pool the replay ran on.
 	Workers int
 	// RecordsIn counts records the reader stage pulled off the
 	// source; RecordsOut counts verdicts delivered to the sink.
@@ -188,7 +186,7 @@ func (s Stats) Utilization() float64 {
 // observe with Stats.
 type Replayer struct {
 	mon      *ids.Composite
-	pool     *Pool // shared pool; nil means Run creates a private one
+	pool     *Pool
 	workers  int
 	batch    int
 	depth    int
@@ -209,18 +207,17 @@ type Replayer struct {
 	wallNanos       atomic.Int64
 }
 
-// New builds a replayer around a composite monitor. The monitor must
-// not be used by anyone else while Run is in flight.
+// New builds a replayer around a composite monitor, scoring on
+// cfg.Pool. The monitor must not be used by anyone else while Run is
+// in flight.
 func New(mon *ids.Composite, cfg Config) (*Replayer, error) {
 	if mon == nil {
 		return nil, errors.New("pipeline: nil monitor")
 	}
-	workers := cfg.Workers
-	if cfg.Pool != nil {
-		workers = cfg.Pool.Workers()
-	} else if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if cfg.Pool == nil {
+		return nil, errors.New("pipeline: no worker pool")
 	}
+	workers := cfg.Pool.Workers()
 	batch := cfg.Batch
 	if batch == 0 {
 		batch = DefaultBatch
@@ -512,28 +509,17 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 		}
 	}()
 
-	// Stage 2: the worker pool runs the stateless hot path. With no
-	// shared pool configured the replay owns a private one, so the
-	// single-replay shape (N dedicated goroutines draining jobs) is
-	// preserved; in fleet mode the dispatcher below feeds this
-	// replay's jobs into the shared pool, where they interleave with
-	// other buses' work. Either way a per-replay WaitGroup tracks the
-	// in-flight tasks so out closes exactly when the last one lands.
-	pool := p.pool
-	private := pool == nil
-	if private {
-		pool = NewPool(p.workers)
-	}
-	// Run must not return before the dispatcher stops submitting: a
-	// private pool is closed here, and a shared pool may be closed by
-	// its owner the moment every replay using it has returned.
+	// Stage 2: the worker pool runs the stateless hot path. The
+	// dispatcher below feeds this replay's jobs into the pool, where
+	// they interleave with other replays' work, and a per-replay
+	// WaitGroup tracks the in-flight tasks so out closes exactly when
+	// the last one lands.
+	//
+	// Run must not return before the dispatcher stops submitting: the
+	// pool's owner may close it the moment every replay using it has
+	// returned.
 	dispatcherDone := make(chan struct{})
-	defer func() {
-		<-dispatcherDone
-		if private {
-			pool.Close()
-		}
-	}()
+	defer func() { <-dispatcherDone }()
 	var wg sync.WaitGroup
 	// score is the task every batch of this replay carries into the
 	// pool, made once here so a submission allocates nothing.
@@ -546,7 +532,7 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 		for b := range jobs {
 			wg.Add(1)
 			b.run = score
-			if !pool.submit(b, abandon) {
+			if !p.pool.submit(b, abandon) {
 				// The submission was abandoned: the batch never reached a
 				// worker, so its buffers (and the worker slot the Add
 				// reserved) are released here, then the channel drains so
@@ -658,17 +644,6 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 		m.PoolOutstanding.Set(rc.outstanding.Load())
 	}
 	return getErr()
-}
-
-// Replay is the one-shot convenience wrapper: build a replayer, run
-// it, return the final stats.
-func Replay(src Source, mon *ids.Composite, cfg Config, fn Sink) (Stats, error) {
-	p, err := New(mon, cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	err = p.Run(src, fn)
-	return p.Stats(), err
 }
 
 // Sequential replays the source on the calling goroutine, scoring each

@@ -107,6 +107,26 @@ func newMonitor(t testing.TB, v *vehicle.Vehicle, m *core.Model) *ids.Composite 
 	return mon
 }
 
+// newPool starts the worker pool a test replays on, closed when the
+// test ends. Every test that replays on a pool builds it here.
+func newPool(t testing.TB, workers int) *pipeline.Pool {
+	t.Helper()
+	pool := pipeline.NewPool(workers)
+	t.Cleanup(pool.Close)
+	return pool
+}
+
+// replay runs one replayer built from cfg over src and returns its
+// final stats.
+func replay(src pipeline.Source, mon *ids.Composite, cfg pipeline.Config, fn pipeline.Sink) (pipeline.Stats, error) {
+	p, err := pipeline.New(mon, cfg)
+	if err != nil {
+		return pipeline.Stats{}, err
+	}
+	err = p.Run(src, fn)
+	return p.Stats(), err
+}
+
 // errText folds an error to a comparable string ("" when nil).
 func errText(err error) string {
 	if err == nil {
@@ -211,7 +231,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 			// and must still match the sequential verdict stream bit
 			// for bit: instrumentation may observe, never perturb.
 			var reg *obs.Registry
-			cfg := pipeline.Config{Workers: workers}
+			cfg := pipeline.Config{Pool: newPool(t, workers)}
 			var im *ids.Metrics
 			if tc.metrics {
 				reg = obs.NewRegistry()
@@ -224,7 +244,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			idx := 0
-			st, err := pipeline.Replay(rd, mon, cfg, func(r pipeline.Result) error {
+			st, err := replay(rd, mon, cfg, func(r pipeline.Result) error {
 				if r.Index != idx {
 					t.Fatalf("result %d arrived out of order (expected %d)", r.Index, idx)
 				}
@@ -308,7 +328,7 @@ func TestStatsMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := newMonitor(t, v, model)
-	p, err := pipeline.New(mon, pipeline.Config{Workers: 4})
+	p, err := pipeline.New(mon, pipeline.Config{Pool: newPool(t, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +419,7 @@ func TestPipelineStopsOnSourceError(t *testing.T) {
 	src := &errorSource{src: rd, n: 25, err: boom}
 	mon := newMonitor(t, v, model)
 	delivered := 0
-	st, err := pipeline.Replay(src, mon, pipeline.Config{Workers: 4}, func(r pipeline.Result) error {
+	st, err := replay(src, mon, pipeline.Config{Pool: newPool(t, 4)}, func(r pipeline.Result) error {
 		delivered++
 		return nil
 	})
@@ -424,7 +444,7 @@ func TestPipelineStopsOnSinkError(t *testing.T) {
 	boom := errors.New("sink full")
 	mon := newMonitor(t, v, model)
 	delivered := 0
-	_, err = pipeline.Replay(rd, mon, pipeline.Config{Workers: 4}, func(r pipeline.Result) error {
+	_, err = replay(rd, mon, pipeline.Config{Pool: newPool(t, 4)}, func(r pipeline.Result) error {
 		delivered++
 		if delivered == 10 {
 			return boom
@@ -443,7 +463,7 @@ func TestReplayerSingleUse(t *testing.T) {
 	v := vehicle.NewVehicleB()
 	model := buildModel(t, v)
 	mon := newMonitor(t, v, model)
-	p, err := pipeline.New(mon, pipeline.Config{Workers: 2})
+	p, err := pipeline.New(mon, pipeline.Config{Pool: newPool(t, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,5 +490,8 @@ func TestReplayerSingleUse(t *testing.T) {
 	}
 	if _, err := pipeline.New(nil, pipeline.Config{}); err == nil {
 		t.Fatal("nil monitor accepted")
+	}
+	if _, err := pipeline.New(mon, pipeline.Config{}); err == nil {
+		t.Fatal("replayer without a pool accepted")
 	}
 }

@@ -6,11 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// Pool is the extraction/scoring worker pool, split out of the
-// Replayer so several concurrent replays can share one bounded set of
-// goroutines instead of each spawning its own (fleet mode: N buses,
-// one pool). A Replayer with no Pool configured still creates a
-// private one per Run, so single-replay behaviour is unchanged.
+// Pool is the extraction/scoring worker pool every Replayer scores on.
+// It lives apart from the Replayer so several concurrent replays share
+// one bounded set of goroutines instead of each spawning its own
+// (fleet mode: N buses, one pool).
 //
 // Sharing never changes verdicts: the hot path a pool runs is
 // stateless (VoltageVerdict touches no mutable detector state), and

@@ -51,8 +51,7 @@ func TestSharedPoolReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool := pipeline.NewPool(4)
-	defer pool.Close()
+	pool := newPool(t, 4)
 	const replays = 2
 	results := make([][]ids.CompositeResult, replays)
 	errs := make([]error, replays)
@@ -62,7 +61,7 @@ func TestSharedPoolReplays(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[k] = pipeline.Replay(newReader(), mon, pipeline.Config{Pool: pool}, func(r pipeline.Result) error {
+			_, errs[k] = replay(newReader(), mon, pipeline.Config{Pool: pool}, func(r pipeline.Result) error {
 				if r.Index != len(results[k]) {
 					return fmt.Errorf("replay %d: result %d out of order", k, r.Index)
 				}

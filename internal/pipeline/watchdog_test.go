@@ -27,7 +27,7 @@ func TestWatchdogAbortsWedgedSink(t *testing.T) {
 	delivered := 0
 	done := make(chan error, 1)
 	go func() {
-		_, err := pipeline.Replay(rd, mon, pipeline.Config{Workers: 2, StallTimeout: 50 * time.Millisecond},
+		_, err := replay(rd, mon, pipeline.Config{Pool: newPool(t, 2), StallTimeout: 50 * time.Millisecond},
 			func(r pipeline.Result) error {
 				delivered++
 				if delivered == 5 {
@@ -66,7 +66,7 @@ func TestWatchdogQuietOnHealthyReplay(t *testing.T) {
 	}
 	mon := newMonitor(t, v, model)
 	delivered := 0
-	st, err := pipeline.Replay(rd, mon, pipeline.Config{Workers: 4, StallTimeout: 2 * time.Second},
+	st, err := replay(rd, mon, pipeline.Config{Pool: newPool(t, 4), StallTimeout: 2 * time.Second},
 		func(r pipeline.Result) error {
 			delivered++
 			return nil
