@@ -184,8 +184,8 @@ func cmdFaults(args []string) error {
 // caught). Fault injection happens sequentially while staging the
 // records — each pre-rendered trace is copied into a scratch trace
 // first so steps never contaminate each other — and the session's
-// reordering stage keeps the accounting identical to a sequential
-// replay.
+// in-order delivery turn keeps the accounting identical to a
+// sequential replay.
 func faultsStep(fleet *engine.Fleet, bus string, v *vehicle.Vehicle, spec faults.Spec, k float64, faultSeed int64, clean, attack *vehicle.Capture) (faultsPoint, error) {
 	inj, err := faults.NewInjector(spec, faultSeed, v.ADC)
 	if err != nil {

@@ -402,8 +402,10 @@ func (s *Session) run(sink Sink) (Summary, error) {
 			// Quarantine transitions reach the incident layer as
 			// structured notifications, not by polling: degradation
 			// escalates the covering incident and counts toward the
-			// bus's health occupancy. Sequence runs single-goroutine, in
-			// record order — exactly the order the correlator wants.
+			// bus's health occupancy. Sequence calls are serialised and
+			// in record order — exactly the order the correlator wants —
+			// though they may run on either of the replay's goroutines,
+			// whichever holds its delivery turn.
 			mcfg.OnQuarantine = func(ch ids.QuarantineChange) {
 				stream.ObserveQuarantine(ch.SA, ch.To.String(), ch.AtSec)
 			}

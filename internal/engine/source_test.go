@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -311,6 +313,144 @@ func TestSinkErrorStopsLiveFeed(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("session kept reading the live feed after its sink failed")
+	}
+}
+
+// TestAbortStopsLiveSource aborts live sessions whose peer stays
+// connected and silent after sending part of a capture. An aborted
+// replay must stop its source and return; a reader left blocked in the
+// transport read would hold Run until the peer sent again or hung up.
+// In the first two cases the peer sends the header and five records
+// and the sink fails at the third verdict: at the default batch bound
+// the five records are one batch, scored and delivered on the reader;
+// at a bound of two, the failing record's batch is full with more
+// buffered, so a pool worker scores it and the replay's delivery
+// goroutine delivers it while the reader reads on. In the third the
+// peer stops in the middle of the sixth record, so the reader blocks
+// inside a record with five in hand and the stall watchdog has to
+// abort the replay.
+func TestAbortStopsLiveSource(t *testing.T) {
+	m := sharedModel(t)
+	header, records := splitCapture(t, buildCapture(t, 207, 40, 5))
+	five := bytes.Join(append([][]byte{header}, records[:5]...), nil)
+	boom := errors.New("sink failed")
+	for _, tc := range []struct {
+		name   string
+		feed   []byte
+		opts   []engine.Option
+		failAt int
+		want   error
+	}{
+		{"reader", five, nil, 3, boom},
+		{"worker", five, []engine.Option{engine.BatchBound(2)}, 3, boom},
+		{"stall", append(five, records[5][:len(records[5])/2]...),
+			[]engine.Option{engine.WithStallTimeout(200 * time.Millisecond)}, 0, pipeline.ErrStalled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// An os.Pipe has read deadlines, like a socket.
+			pr, pw, err := os.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pw.Close()
+			if _, err := pw.Write(tc.feed); err != nil {
+				t.Fatal(err)
+			}
+			src, err := engine.NewStreamSource("pipe", pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				delivered := 0
+				opts := append([]engine.Option{engine.WithSource(src), engine.WithModel(m)}, tc.opts...)
+				_, err := engine.NewSession("", opts...).Run(func(engine.Result) error {
+					delivered++
+					if delivered == tc.failAt {
+						return boom
+					}
+					return nil
+				})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("aborted session still blocked reading its silent live feed")
+			}
+		})
+	}
+}
+
+// TestSlowSinkKeepsPoolShared runs two buses of one fleet on a
+// one-worker pool. Bus a's sink blocks on its first verdict until bus
+// b's replay has returned. Bus b replays a capture file, so nearly
+// every batch it cuts is full and goes to the pool's one worker. b must
+// still finish with every verdict and no error, its stall watchdog
+// quiet: a sink runs on its own replay's goroutines and never holds a
+// worker the other buses share.
+func TestSlowSinkKeepsPoolShared(t *testing.T) {
+	m := sharedModel(t)
+	dir := t.TempDir()
+	pa := writeFile(t, filepath.Join(dir, "a.vptr"), buildCapture(t, 211, 300, 50))
+	pb := writeFile(t, filepath.Join(dir, "b.vptr"), buildCapture(t, 212, 700, 100))
+	want := len(sequentialRef(t, pb, m))
+
+	fleet, err := engine.NewFleet(nil, engine.WithModel(m), engine.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	attach := func(bus, path string, opts ...engine.Option) *engine.Session {
+		src, err := engine.OpenCaptureSource(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := fleet.Attach(bus, src, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a := attach("a", pa)
+	b := attach("b", pb, engine.WithStallTimeout(200*time.Millisecond))
+
+	blocked, bDone := make(chan struct{}), make(chan struct{})
+	aErr := make(chan error, 1)
+	go func() {
+		first := true
+		_, err := a.Run(func(engine.Result) error {
+			if first {
+				first = false
+				close(blocked)
+				select {
+				case <-bDone:
+				case <-time.After(10 * time.Second):
+					return errors.New("bus b never finished while bus a's sink was blocked")
+				}
+			}
+			return nil
+		})
+		aErr <- err
+	}()
+	<-blocked
+	n := 0
+	_, err = b.Run(func(engine.Result) error {
+		n++
+		return nil
+	})
+	close(bDone)
+	if err != nil {
+		t.Fatalf("bus b failed while bus a's sink was blocked: %v", err)
+	}
+	if n != want {
+		t.Fatalf("bus b delivered %d of %d verdicts", n, want)
+	}
+	if err := <-aErr; err != nil {
+		t.Fatal(err)
 	}
 }
 

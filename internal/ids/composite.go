@@ -344,10 +344,10 @@ func voltageVerdict[E edgeset.Sample](c *Composite, tr []E, ft *tracing.FrameTra
 
 // Sequence runs the stateful half of the stack — period monitoring
 // and transport reassembly — folding in a voltage verdict previously
-// computed by VoltageVerdict. Calls must happen in message arrival
-// order from a single goroutine; the replay pipeline guarantees this
-// with its reordering stage, so composite verdicts are identical to
-// the sequential Process path.
+// computed by VoltageVerdict. Calls must be serialised and happen in
+// message arrival order, though not necessarily from one goroutine;
+// the replay pipeline guarantees this with its delivery turn, so
+// composite verdicts are identical to the sequential Process path.
 func (c *Composite) Sequence(frame *canbus.ExtendedFrame, at float64, voltage core.Detection, extractErr error) CompositeResult {
 	out := CompositeResult{Voltage: voltage, ExtractErr: extractErr}
 	c.lastAt = at

@@ -148,11 +148,10 @@ func (s *Span) EndAt(ns int64) {
 func Now() int64 { return nanotime() }
 
 // FrameTrace collects the spans of one frame. It is handed from
-// stage to stage along with the frame itself — reader to worker to
-// reordering stage — and only ever touched by the goroutine currently
-// holding the frame, so it needs no locking. A nil *FrameTrace is the
-// uninstrumented case: StartSpan returns nil and every span method
-// no-ops.
+// step to step along with the frame itself — read, score, delivery —
+// and only ever touched by the goroutine currently holding the frame,
+// so it needs no locking. A nil *FrameTrace is the uninstrumented
+// case: StartSpan returns nil and every span method no-ops.
 type FrameTrace struct {
 	ID    TraceID `json:"trace"`
 	Spans []*Span `json:"spans"`

@@ -2,39 +2,54 @@
 // concurrently while producing verdicts bit-for-bit identical to the
 // sequential path.
 //
-// The replay is a three-stage pipeline:
+// A replay has three steps:
 //
-//  1. a reader goroutine pulls records off the capture stream in
-//     order and tags each with its index — kept deliberately thin
-//     (raw records, sample codes still packed, refilled into pooled
+//  1. read: Run's own goroutine pulls records off the capture stream in
+//     order and tags each with its index — kept deliberately thin (raw
+//     records, sample codes still packed, refilled into pooled
 //     buffers) because stream decoding is the one inherently serial
-//     stage;
-//  2. a worker pool fans out the stateless hot path — edge-set
-//     extraction and vProfile scoring straight from each record's
-//     packed ADC codes (Composite.VoltageVerdictCodes, with a nil
-//     trace on an untraced replay) — across the goroutines of a Pool,
-//     which several replays may share;
-//  3. a reordering stage re-sequences results by record index and
-//     runs the stateful detectors (period monitor, transport
-//     reassembly) in arrival order via Composite.Sequence.
+//     step;
+//  2. score: the stateless hot path — edge-set extraction and vProfile
+//     scoring straight from each record's packed ADC codes
+//     (Composite.VoltageVerdictCodes, with a nil trace on an untraced
+//     replay) — runs under one of the scoring slots of a Pool, which
+//     several replays may share. A batch cut because the source ran
+//     dry is scored by the reader itself when a slot is free; any other
+//     batch goes to one of the pool's workers, which parks it, scored,
+//     and wakes the replay's delivery goroutine;
+//  3. the delivery turn: whichever of the replay's two goroutines —
+//     Run's, after scoring a dry batch itself, or its delivery
+//     goroutine, woken by a worker — holds the turn runs the stateful
+//     detectors (period monitor, transport reassembly) via
+//     Composite.Sequence, the flight recorder and the sink for every
+//     parked batch that continues the record stream.
 //
-// Stages exchange batches of up to Config.Batch records (default 64),
-// so when records arrive faster than they are scored — a file, or a
-// saturated socket — channel operations, pool submissions and
-// scheduler wakeups amortise over many frames. A batch is an upper
-// bound, not a quota: the reader ships what it holds as soon as its
-// source has nothing more buffered (Source.Buffered), before a read
-// that may block, so on a live feed a frame's verdict never waits for
-// later frames to arrive. Handing a partial batch on allocates
-// nothing. Batching changes only the transport granularity: records
-// keep their stream indices and the reordering stage still delivers
-// strictly in index order, so verdicts remain bit-identical to the
-// sequential path at any batch size and any flush pattern.
+// So a frame that arrives on a quiet live feed is read, scored and
+// delivered without leaving its reader, while a saturated replay reads
+// on as its delivery goroutine delivers. Pool workers never run a
+// sink: a slow sink holds its own replay's goroutines, not capacity the
+// other replays share.
 //
-// All channels are bounded, so a slow sink backpressures the reader
-// instead of ballooning memory; the first error from any stage stops
-// the whole pipeline cleanly. Per-stage counters are readable at any
-// time through Stats.
+// Batches hold up to Config.Batch records (default 64), so when records
+// arrive faster than they are scored — a file, or a saturated socket —
+// pool submissions and slot handoffs amortise over many frames. A
+// batch is an upper bound, not a quota: the reader cuts what it holds
+// as soon as its source has nothing more buffered (Source.Buffered),
+// before a read that may block, so on a live feed a frame's verdict
+// never waits for later frames to arrive. Handing a partial batch on
+// allocates nothing. Batching changes only the transport granularity:
+// records keep their stream indices and the turn delivers strictly in
+// index order, so verdicts remain bit-identical to the sequential path
+// at any batch size, any flush pattern, and whichever goroutines score
+// and deliver.
+//
+// A replay holds a bounded number of batches between read and delivery
+// (nine per pool slot), so a slow sink backpressures the reader instead
+// of ballooning memory. The first
+// error from any step stops the whole replay cleanly, and an aborted
+// replay stops a source that can be stopped, so a reader blocked on a
+// live transport returns. Per-stage counters are readable at any time
+// through Stats.
 package pipeline
 
 import (
@@ -65,34 +80,34 @@ type Source interface {
 }
 
 // DefaultBatch is the records-per-batch bound (Config.Batch = 0):
-// large enough to amortise channel and pool synchronisation while
-// records are waiting, small enough that a batch stays resident in
-// cache through scoring.
+// large enough to amortise pool and turn synchronisation while records
+// are waiting, small enough that a batch stays resident in cache
+// through scoring.
 const DefaultBatch = 64
+
+// inFlightPerSlot bounds how many batches a replay may hold between
+// read and delivery, per slot of its pool.
+const inFlightPerSlot = 9
 
 // Config parameterises a replay.
 type Config struct {
-	// Pool runs the stateless hot path; it is required. Several
+	// Pool scores the replay's batches; it is required. Several
 	// concurrent replays (the buses of a fleet) share one and contend
-	// for its bounded set of goroutines. The pool must outlive the
+	// for its bounded set of scoring slots. The pool must outlive the
 	// replay; the replay does not close it.
 	Pool *Pool
-	// Batch is the most records exchanged per channel operation
-	// between stages; zero means DefaultBatch. It is an upper bound:
-	// the reader ships a partial batch whenever its source has nothing
-	// buffered, so a live feed gets a verdict per frame as it arrives
-	// at any batch size, and a batch of one buys no latency, only more
-	// handoffs. Verdicts and their order are identical at every batch
-	// size.
+	// Batch is the most records the reader cuts into one batch — one
+	// pool submission, one slot and one turn handoff; zero means
+	// DefaultBatch. It is an upper bound: the reader cuts a partial
+	// batch whenever its source has nothing buffered, so a live feed
+	// gets a verdict per frame as it arrives at any batch size, and a
+	// batch of one buys no latency, only more handoffs. Verdicts and
+	// their order are identical at every batch size.
 	Batch int
-	// Depth is the capacity of each inter-stage channel in batches,
-	// bounding how far the reader may run ahead of the sink (roughly
-	// Depth×Batch records per channel); zero means 4× the pool size.
-	Depth int
 	// Metrics, when non-nil, makes the pipeline publish per-stage
-	// counters, latency histograms and the reorder-queue depth gauge
-	// (see NewMetrics). Instrumentation is atomic-only on the hot path
-	// and never changes verdicts or their order.
+	// counters, latency histograms and the parked-records gauge (see
+	// NewMetrics). Instrumentation is atomic-only on the hot path and
+	// never changes verdicts or their order.
 	Metrics *Metrics
 	// Recorder, when non-nil, turns on per-frame tracing and flight
 	// recording: every record gets a deterministic TraceID and a span
@@ -102,17 +117,18 @@ type Config struct {
 	// bundles. Tracing never changes verdicts or their order; nil
 	// keeps the replay on the uninstrumented fast path.
 	Recorder *tracing.Recorder
-	// StallTimeout arms the slow-sink watchdog: if the pipeline makes
-	// no progress — no record scored by a worker and no verdict
-	// delivered to the sink — for this long while records are pending,
-	// the replay aborts with ErrStalled instead of sitting wedged
-	// behind its (deliberately bounded) queues. Scoring counts as
-	// progress so that a large Batch being worked on does not read as
-	// a stall; a wedged sink still fires the watchdog because the
-	// workers block once the bounded queues fill and all progress
-	// stops. The watchdog unblocks every pipeline goroutine; a sink
-	// call that never returns still holds Run until it does. Zero
-	// disables.
+	// StallTimeout arms the slow-sink watchdog: if the replay makes no
+	// progress — no record scored and no verdict delivered to the sink
+	// — for this long while records are pending, the replay aborts
+	// with ErrStalled instead of sitting wedged behind its bounded
+	// in-flight window. Scoring counts as progress so that a large
+	// Batch being worked on does not read as a stall; a wedged sink
+	// still fires the watchdog because the reader runs out of in-flight
+	// batches and all progress stops. The watchdog stops the source and
+	// releases every batch not being delivered; a sink call that never
+	// returns holds the goroutine delivering it — Run's or the replay's
+	// delivery goroutine, never a pool worker — and Run returns once
+	// that call does. Zero disables.
 	StallTimeout time.Duration
 }
 
@@ -146,8 +162,12 @@ type Result struct {
 	Trace *tracing.FrameTrace
 }
 
-// Sink receives results in record order. A non-nil error stops the
-// replay. A nil Sink discards results (useful for benchmarks).
+// Sink receives results. Calls are serialised and in record order, but
+// may come from either of the replay's goroutines — Run's own or its
+// delivery goroutine, whichever holds the delivery turn — so a sink must
+// not rely on goroutine identity. Pool workers never call it, so a slow
+// sink slows only its own replay. A non-nil error stops the replay. A
+// nil Sink discards results (useful for benchmarks).
 type Sink func(Result) error
 
 // Stats is a snapshot of the pipeline's per-stage counters. It may be
@@ -163,7 +183,7 @@ type Stats struct {
 	// preprocess (they still produce a Result, with ExtractErr set).
 	ExtractFailures int64
 	// WallTime is the elapsed replay time; WorkerBusy is the summed
-	// time workers spent extracting and scoring.
+	// time spent extracting and scoring, on workers and on the reader.
 	WallTime   time.Duration
 	WorkerBusy time.Duration
 	// BuffersOutstanding counts the pooled batch and raw record buffers
@@ -189,13 +209,49 @@ type Replayer struct {
 	pool     *Pool
 	workers  int
 	batch    int
-	depth    int
+	window   int // most batches between read and delivery
 	metrics  *Metrics
 	recorder *tracing.Recorder
 	stall    time.Duration
 
 	// rc is the replay's buffer accounting.
 	rc *recycler
+	// taps lets the package's tests watch batch cuts and scoring; nil
+	// otherwise.
+	taps *taps
+
+	// The state of the one Run.
+	src Source
+	fn  Sink
+	// tokens holds one entry per batch between read and delivery.
+	tokens chan struct{}
+	// inflight counts the batches not yet delivered or released: Run
+	// returns only once it is zero.
+	inflight sync.WaitGroup
+	// The delivery turn: scored batches park in pending under their
+	// first record index, parked counts their records, and whichever
+	// of Run's goroutine and the replay's delivery goroutine holds the
+	// turn (busy) delivers from next on. dead means the replay aborted
+	// and nothing more is delivered.
+	mu      sync.Mutex
+	busy    bool
+	dead    bool
+	next    int
+	pending map[int]*scoredBatch
+	parked  int
+	// landed is the doorbell a pool worker rings after parking a
+	// batch, waking the replay's delivery goroutine.
+	landed chan struct{}
+	// abandon is closed by abort. A source error does NOT close it —
+	// the records already read drain through normally, so the sink
+	// sees the complete prefix before the error surfaces.
+	abandon   chan struct{}
+	abortOnce sync.Once
+	// The error slot is mutex-guarded rather than Once-guarded: the
+	// watchdog goroutine can set it at any moment — including while
+	// Run is returning — so every read needs the same lock.
+	errMu    sync.Mutex
+	firstErr error
 
 	ran             atomic.Bool
 	recordsIn       atomic.Int64
@@ -205,6 +261,13 @@ type Replayer struct {
 	busyNanos       atomic.Int64
 	startNanos      atomic.Int64
 	wallNanos       atomic.Int64
+}
+
+// taps are the package tests' hooks into a replay.
+type taps struct {
+	cut      func(n int)     // the reader cut a batch of n records, in stream order
+	scoring  func(delta int) // a batch started (+1) or finished (−1) scoring
+	noInline bool            // the reader never scores: every batch goes to a worker
 }
 
 // New builds a replayer around a composite monitor, scoring on
@@ -225,12 +288,8 @@ func New(mon *ids.Composite, cfg Config) (*Replayer, error) {
 	if batch < 1 {
 		batch = 1
 	}
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = 4 * workers
-	}
 	return &Replayer{
-		mon: mon, pool: cfg.Pool, workers: workers, batch: batch, depth: depth,
+		mon: mon, pool: cfg.Pool, workers: workers, batch: batch, window: inFlightPerSlot * workers,
 		metrics: cfg.Metrics, recorder: cfg.Recorder, stall: cfg.StallTimeout,
 		rc: &recycler{batch: batch},
 	}, nil
@@ -255,7 +314,7 @@ func (p *Replayer) Stats() Stats {
 	}
 }
 
-// job is a record travelling from the reader to a worker. The
+// job is a record travelling from the reader to scoring. The
 // FrameTrace (traced replays only) travels with the record and is only
 // ever touched by the goroutine currently holding it.
 type job struct {
@@ -280,29 +339,184 @@ type scored struct {
 	extractErr error
 }
 
-// jobBatch is a run of consecutive records on its way from the reader
-// to a worker. It is also the pool task: run is the replay's scoring
-// function, made once per Run, so submitting a batch needs no closure.
+// jobBatch is a run of consecutive records cut by the reader. It is
+// also the pool task: it names its replay, so submitting a batch needs
+// no closure.
 type jobBatch struct {
-	run  func(*jobBatch)
+	r    *Replayer
 	jobs []job
 }
 
-// scoredBatch is a jobBatch after scoring, on its way to the
-// reordering stage.
+// scoredBatch is a jobBatch after scoring, on its way to delivery.
 type scoredBatch struct {
 	items []scored
 }
 
-// processBatch is the stateless hot path one pool task runs: copy each
+// Run replays the source to completion (or first error). Results
+// reach the sink in record order. Run may be called once per Replayer:
+// the composite monitor it wraps is stateful, so a second replay needs
+// a fresh monitor and replayer.
+func (p *Replayer) Run(src Source, fn Sink) error {
+	if p.ran.Swap(true) {
+		return errors.New("pipeline: Run called twice on one Replayer")
+	}
+	if fn == nil {
+		fn = func(Result) error { return nil }
+	}
+	p.src, p.fn = src, fn
+	p.tokens = make(chan struct{}, p.window)
+	p.abandon = make(chan struct{})
+	p.landed = make(chan struct{}, 1)
+	p.pending = make(map[int]*scoredBatch, p.window)
+	p.startNanos.Store(time.Now().UnixNano())
+	defer func() {
+		p.wallNanos.Store(time.Now().UnixNano() - p.startNanos.Load())
+	}()
+	if p.stall > 0 {
+		stopWatch := make(chan struct{})
+		defer close(stopWatch)
+		go p.watch(stopWatch)
+	}
+	stopDelivery, delivered := make(chan struct{}), make(chan struct{})
+	go p.deliverLanded(stopDelivery, delivered)
+
+	// The reader refills pooled raw records, tags them with their
+	// stream index and accumulates them into batches. The samples stay
+	// packed, keeping the serial step as thin as the format allows. A
+	// batch is cut when it is full or when the source has nothing more
+	// buffered — the next read may block, and the records in hand must
+	// not wait for it. A source error does not abandon the replay: the
+	// partial batch already read is shipped so the sink sees the
+	// complete prefix before the error surfaces.
+	rc := p.rc
+	batch := rc.getJobBatch()
+	for idx := 0; ; idx++ {
+		j := job{idx: idx}
+		var sp *tracing.Span
+		if p.recorder != nil {
+			// TraceIDs are the 1-based record index: deterministic, so
+			// two replays of one capture produce identical forensics.
+			j.ft = tracing.NewFrameTrace(tracing.TraceID(idx) + 1)
+			sp = j.ft.StartSpan("pipeline.read")
+		}
+		j.raw = rc.getRaw()
+		if err := src.NextRawInto(j.raw); err != nil {
+			rc.putRaw(j.raw)
+			if !errors.Is(err, io.EOF) {
+				p.setErr(err)
+			}
+			// Nothing more will be read, so the reader may as well
+			// score the tail itself.
+			if len(batch.jobs) > 0 {
+				p.ship(batch, true)
+			} else {
+				rc.putJobBatch(batch)
+			}
+			break
+		}
+		sp.End()
+		p.recordsIn.Add(1)
+		if m := p.metrics; m != nil {
+			m.RecordsIn.Inc()
+		}
+		batch.jobs = append(batch.jobs, j)
+		dry := src.Buffered() == 0
+		if dry || len(batch.jobs) >= p.batch {
+			if !p.ship(batch, dry) {
+				break
+			}
+			batch = rc.getJobBatch()
+		}
+	}
+	p.inflight.Wait()
+	close(stopDelivery)
+	<-delivered
+	if m := p.metrics; m != nil {
+		m.QueueDepth.Set(0)
+		m.PoolOutstanding.Set(rc.outstanding.Load())
+	}
+	return p.err()
+}
+
+// ship hands a cut batch on. It takes one of the replay's in-flight
+// tokens, then scores the batch here when the source ran dry and the
+// pool has a free slot — and delivers it too when the delivery turn is
+// free — or gives it to a pool worker. It reports whether the replay is
+// still running.
+func (p *Replayer) ship(b *jobBatch, dry bool) bool {
+	if p.taps != nil {
+		p.taps.cut(len(b.jobs))
+	}
+	select {
+	case p.tokens <- struct{}{}:
+	case <-p.abandon:
+		p.rc.releaseJobs(b)
+		return false
+	}
+	p.inflight.Add(1)
+	if dry && (p.taps == nil || !p.taps.noInline) && p.pool.tryAcquire() {
+		sb := p.score(b)
+		p.pool.release()
+		p.park(sb)
+		p.deliverTurn()
+		return !p.aborted()
+	}
+	b.r = p
+	select {
+	case p.pool.tasks <- b:
+		return !p.aborted()
+	case <-p.abandon:
+		b.r = nil
+		p.rc.releaseJobs(b)
+		p.retire()
+		return false
+	}
+}
+
+// work is a batch's pool task: score it under one of the pool's slots,
+// give the slot back, park the batch and wake the replay's delivery
+// goroutine. A worker never delivers. A batch of an aborted replay is
+// released unscored.
+func (p *Replayer) work(b *jobBatch) {
+	if p.aborted() {
+		p.rc.releaseJobs(b)
+		p.retire()
+		return
+	}
+	p.pool.acquire()
+	sb := p.score(b)
+	p.pool.release()
+	p.park(sb)
+	select {
+	case p.landed <- struct{}{}:
+	default:
+	}
+}
+
+// deliverLanded is the replay's delivery goroutine: each time a worker
+// parks a batch it takes the delivery turn, unless Run holds it, and
+// delivers what continues the record stream. It returns once stop
+// closes, which Run does after every batch is delivered or released.
+func (p *Replayer) deliverLanded(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	for {
+		select {
+		case <-p.landed:
+			p.deliverTurn()
+		case <-stop:
+			return
+		}
+	}
+}
+
+// score is the stateless hot path, run under a scoring slot: copy each
 // raw record's header and payload into the scored batch, extract and
-// score it from its packed codes, return the raw record to its pool,
-// then hand the whole scored batch to the reordering stage in one
-// channel operation. It parks on this replay's bounded out channel and
-// is released by abandon — releasing the batch on that path — so a
-// stalled replay never wedges a shared pool beyond its in-flight tasks
-// and an abandoned batch never strands a buffer.
-func (p *Replayer) processBatch(b *jobBatch, out chan<- *scoredBatch, abandon <-chan struct{}) {
+// score it from its packed codes, and return the raw record and the job
+// batch to their pools.
+func (p *Replayer) score(b *jobBatch) *scoredBatch {
+	if p.taps != nil {
+		p.taps.scoring(1)
+	}
 	m := p.metrics
 	rc := p.rc
 	start := time.Now()
@@ -342,308 +556,223 @@ func (p *Replayer) processBatch(b *jobBatch, out chan<- *scoredBatch, abandon <-
 	rc.putJobBatch(b)
 	// One busy-time add per batch: the whole loop is work, and a single
 	// atomic add amortises the accounting the way the batch amortises
-	// the channel operations.
+	// the handoffs.
 	p.busyNanos.Add(int64(time.Since(start)))
+	if p.taps != nil {
+		p.taps.scoring(-1)
+	}
+	return sb
+}
+
+// park sets a scored batch aside under its first record index for
+// whichever goroutine holds the delivery turn. Every batch holds a
+// contiguous run of indices (the reader cuts them that way and scoring
+// keeps their order), so a batch is delivered whole. pending is bounded
+// by the replay's in-flight tokens, so memory stays flat even when one
+// slow batch holds up its successors. A batch landing after an abort
+// is released.
+func (p *Replayer) park(sb *scoredBatch) {
+	p.mu.Lock()
+	if p.dead {
+		p.mu.Unlock()
+		p.drop(sb)
+		return
+	}
+	p.pending[sb.items[0].idx] = sb
+	p.parked += len(sb.items)
+	p.mu.Unlock()
+}
+
+// deliverTurn takes the delivery turn unless another goroutine holds
+// it, delivers parked batches in record order for as long as the next
+// one is parked, and gives the turn back. The holder checks for the
+// next batch under the same lock a batch parks under, so a batch that
+// parks while the turn is held is delivered by the holder.
+func (p *Replayer) deliverTurn() {
+	p.mu.Lock()
+	if p.busy {
+		p.mu.Unlock()
+		return
+	}
+	p.busy = true
+	for !p.dead {
+		sb := p.pending[p.next]
+		if sb == nil {
+			break
+		}
+		delete(p.pending, p.next)
+		p.parked -= len(sb.items)
+		p.mu.Unlock()
+		ok := p.deliverBatch(sb)
+		p.mu.Lock()
+		if !ok {
+			p.dead = true
+		}
+	}
+	if p.dead {
+		p.dropPending()
+	}
+	p.busy = false
+	if m := p.metrics; m != nil {
+		m.QueueDepth.Set(int64(p.parked))
+		m.PoolOutstanding.Set(p.rc.outstanding.Load())
+	}
+	p.mu.Unlock()
+}
+
+// deliverBatch delivers every record of a batch in order, then
+// releases the batch; false means the replay must stop.
+func (p *Replayer) deliverBatch(sb *scoredBatch) bool {
+	ok := true
+	for i := range sb.items {
+		if ok = p.deliver(&sb.items[i]); !ok {
+			break
+		}
+	}
+	p.drop(sb)
+	return ok
+}
+
+// deliver runs the stateful detectors over one scored record and hands
+// it to the sink; false means the replay must stop (sink error, or an
+// abort while the sink ran).
+func (p *Replayer) deliver(s *scored) bool {
+	m := p.metrics
+	var t0 time.Time
+	if m != nil {
+		t0 = time.Now()
+	}
+	var state ids.SequenceState
+	if s.ft != nil {
+		// Snapshot the stateful detectors BEFORE Sequence mutates
+		// them: the decision record must hold the state the verdict
+		// was judged against.
+		state = p.mon.StateFor(s.frame.ID)
+	}
+	idx := p.next
+	sp := s.ft.StartSpan("pipeline.sequence")
+	verdict := p.mon.Sequence(&s.frame, s.rec.TimeSec, s.det, s.extractErr)
+	sp.End()
+	p.recordsOut.Add(1)
+	if p.recorder != nil {
+		p.recorder.Record(buildDecision(idx, s, verdict, state))
+	}
+	err := p.fn(Result{Index: idx, Record: &s.rec, Frame: &s.frame, Verdict: verdict, Trace: s.ft})
+	if m != nil {
+		m.SequenceSeconds.Observe(time.Since(t0).Seconds())
+		m.RecordsOut.Inc()
+	}
+	if err != nil {
+		p.setErr(err)
+		p.abort()
+		return false
+	}
+	p.next++
+	// The watchdog may have fired while this sink call was in flight.
+	return !p.aborted()
+}
+
+// drop releases a scored batch and its in-flight token.
+func (p *Replayer) drop(sb *scoredBatch) {
+	p.rc.putScoredBatch(sb)
+	p.retire()
+}
+
+// retire gives back a batch's in-flight token once the batch is
+// delivered or released. The receive never blocks, since the batch's
+// token was sent before it went in flight, so it may run under the
+// turn's lock.
+func (p *Replayer) retire() {
+	<-p.tokens
+	p.inflight.Done()
+}
+
+// dropPending releases every parked batch. The caller holds the turn's
+// lock.
+func (p *Replayer) dropPending() {
+	for idx, sb := range p.pending {
+		delete(p.pending, idx)
+		p.drop(sb)
+	}
+	p.parked = 0
+}
+
+// abort stops the replay after its first fatal error: it wakes a reader
+// waiting for a token or a worker, releases the parked batches (a
+// goroutine delivering releases its own when its sink call returns),
+// and stops a source that can be stopped (engine.StreamSource), so a
+// read blocked on a live transport returns instead of waiting for the
+// peer to send again.
+func (p *Replayer) abort() {
+	p.abortOnce.Do(func() {
+		close(p.abandon)
+		p.mu.Lock()
+		p.dead = true
+		if !p.busy {
+			p.dropPending()
+		}
+		p.mu.Unlock()
+		if s, ok := p.src.(interface{ Stop() }); ok {
+			s.Stop()
+		}
+	})
+}
+
+func (p *Replayer) aborted() bool {
 	select {
-	case out <- sb:
-	case <-abandon:
-		rc.putScoredBatch(sb)
+	case <-p.abandon:
+		return true
+	default:
+		return false
 	}
 }
 
-// Run replays the source to completion (or first error). Results
-// reach the sink in record order. Run may be called once per
-// Replayer: the composite monitor it wraps is stateful, so a second
-// replay needs a fresh monitor and replayer.
-func (p *Replayer) Run(src Source, fn Sink) error {
-	if p.ran.Swap(true) {
-		return errors.New("pipeline: Run called twice on one Replayer")
+func (p *Replayer) setErr(err error) {
+	p.errMu.Lock()
+	if p.firstErr == nil {
+		p.firstErr = err
 	}
-	if fn == nil {
-		fn = func(Result) error { return nil }
-	}
-	p.startNanos.Store(time.Now().UnixNano())
-	defer func() {
-		p.wallNanos.Store(time.Now().UnixNano() - p.startNanos.Load())
-	}()
+	p.errMu.Unlock()
+}
 
-	rc := p.rc
-	jobs := make(chan *jobBatch, p.depth)
-	out := make(chan *scoredBatch, p.depth)
-	// abandon is closed only when the sink fails and stage 3 stops
-	// draining; it unblocks upstream sends that would otherwise hang.
-	// A source error does NOT close it — the records already read
-	// drain through normally, so the sink sees the complete prefix
-	// before the error surfaces.
-	abandon := make(chan struct{})
-	var abortOnce sync.Once
-	abort := func() {
-		abortOnce.Do(func() { close(abandon) })
-	}
-	// The error slot is mutex-guarded rather than Once-guarded: the
-	// watchdog goroutine can set it at any moment — including while
-	// stage 3 is returning — so every read needs the same lock.
-	var errMu sync.Mutex
-	var firstErr error
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	getErr := func() error {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr
-	}
+func (p *Replayer) err() error {
+	p.errMu.Lock()
+	defer p.errMu.Unlock()
+	return p.firstErr
+}
 
-	// Slow-sink watchdog: while records are pending (read but not yet
-	// delivered), the pipeline must make progress every StallTimeout
-	// or the replay aborts. Progress is sink deliveries plus worker
-	// scorings — the sum is monotonic, and counting scoring keeps a
-	// large batch mid-flight from reading as a wedge while still
-	// catching a stuck sink: workers block once the bounded queues
-	// fill and the sum stops moving. Closing abandon unwedges every
-	// stage; stage 3 checks the flag between sink calls.
-	var stalled atomic.Bool
-	if p.stall > 0 {
-		stopWatch := make(chan struct{})
-		defer close(stopWatch)
-		go func() {
-			interval := p.stall / 8
-			if interval < time.Millisecond {
-				interval = time.Millisecond
-			}
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			last := p.recordsOut.Load() + p.recordsScored.Load()
-			lastProgress := time.Now()
-			for {
-				select {
-				case <-stopWatch:
-					return
-				case <-tick.C:
-				}
-				cur := p.recordsOut.Load() + p.recordsScored.Load()
-				if cur != last {
-					last, lastProgress = cur, time.Now()
-					continue
-				}
-				if p.recordsIn.Load() > p.recordsOut.Load() && time.Since(lastProgress) >= p.stall {
-					stalled.Store(true)
-					setErr(ErrStalled)
-					abort()
-					return
-				}
-			}
-		}()
+// watch is the slow-sink watchdog: while records are pending (read but
+// not yet delivered), the replay must make progress every StallTimeout
+// or it aborts. Progress is sink deliveries plus scorings — the sum is
+// monotonic, and counting scoring keeps a large batch mid-flight from
+// reading as a wedge while still catching a stuck sink: the reader runs
+// out of in-flight tokens and the sum stops moving.
+func (p *Replayer) watch(stop <-chan struct{}) {
+	interval := p.stall / 8
+	if interval < time.Millisecond {
+		interval = time.Millisecond
 	}
-
-	// Stage 1: the reader refills pooled raw records, tags them with
-	// their stream index and accumulates them into batches. The samples
-	// stay packed, keeping the serial stage as thin as the format
-	// allows. A batch ships when it is full or when the source has
-	// nothing more buffered — the next read may block, and the records
-	// in hand must not wait for it. A source error does not abandon the
-	// replay: the partial batch already read is flushed so the sink sees
-	// the complete prefix before the error surfaces.
-	go func() {
-		defer close(jobs)
-		batch := rc.getJobBatch()
-		// flush hands the accumulated batch to stage 2, returning false
-		// when the replay has been abandoned (the batch is released, not
-		// leaked). The empty batch is returned to the pool, never sent.
-		flush := func() bool {
-			if len(batch.jobs) == 0 {
-				return true
-			}
-			// Once abandoned, the reader stops even though the
-			// dispatcher, draining, would take every batch it sends.
-			select {
-			case <-abandon:
-			default:
-				select {
-				case jobs <- batch:
-					batch = rc.getJobBatch()
-					return true
-				case <-abandon:
-				}
-			}
-			rc.releaseJobs(batch)
-			batch = nil
-			return false
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	last := p.recordsOut.Load() + p.recordsScored.Load()
+	lastProgress := time.Now()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
 		}
-		for idx := 0; ; idx++ {
-			j := job{idx: idx}
-			var sp *tracing.Span
-			if p.recorder != nil {
-				// TraceIDs are the 1-based record index: deterministic, so
-				// two replays of one capture produce identical forensics.
-				j.ft = tracing.NewFrameTrace(tracing.TraceID(idx) + 1)
-				sp = j.ft.StartSpan("pipeline.read")
-			}
-			j.raw = rc.getRaw()
-			if err := src.NextRawInto(j.raw); err != nil {
-				rc.putRaw(j.raw)
-				if !errors.Is(err, io.EOF) {
-					setErr(err)
-				}
-				flush()
-				if batch != nil {
-					rc.putJobBatch(batch)
-				}
-				return
-			}
-			sp.End()
-			p.recordsIn.Add(1)
-			if m := p.metrics; m != nil {
-				m.RecordsIn.Inc()
-			}
-			batch.jobs = append(batch.jobs, j)
-			if len(batch.jobs) >= p.batch || src.Buffered() == 0 {
-				if !flush() {
-					return
-				}
-			}
+		cur := p.recordsOut.Load() + p.recordsScored.Load()
+		if cur != last {
+			last, lastProgress = cur, time.Now()
+			continue
 		}
-	}()
-
-	// Stage 2: the worker pool runs the stateless hot path. The
-	// dispatcher below feeds this replay's jobs into the pool, where
-	// they interleave with other replays' work, and a per-replay
-	// WaitGroup tracks the in-flight tasks so out closes exactly when
-	// the last one lands.
-	//
-	// Run must not return before the dispatcher stops submitting: the
-	// pool's owner may close it the moment every replay using it has
-	// returned.
-	dispatcherDone := make(chan struct{})
-	defer func() { <-dispatcherDone }()
-	var wg sync.WaitGroup
-	// score is the task every batch of this replay carries into the
-	// pool, made once here so a submission allocates nothing.
-	score := func(b *jobBatch) {
-		p.processBatch(b, out, abandon)
-		wg.Done()
-	}
-	go func() {
-		defer close(dispatcherDone)
-		for b := range jobs {
-			wg.Add(1)
-			b.run = score
-			if !p.pool.submit(b, abandon) {
-				// The submission was abandoned: the batch never reached a
-				// worker, so its buffers (and the worker slot the Add
-				// reserved) are released here, then the channel drains so
-				// batches the reader already queued are released too.
-				wg.Done()
-				rc.releaseJobs(b)
-				for b := range jobs {
-					rc.releaseJobs(b)
-				}
-				break
-			}
-		}
-		wg.Wait()
-		close(out)
-	}()
-
-	// Stage 3: re-sequence by index, then run the stateful detectors
-	// in arrival order. Every batch holds a contiguous run of indices
-	// (the reader cuts them that way and workers keep their order), so
-	// batches park in pending under their first index and are
-	// delivered whole. pending is bounded by the batches in flight
-	// (≤ 2×Depth + workers), so memory stays flat even when one slow
-	// batch holds up its successors. On an aborted replay the deferred
-	// cleanup releases the batch being delivered, drains out (the
-	// dispatcher closes it once the workers unwedge via abandon) and
-	// releases every pending batch, so no pooled buffer is stranded on
-	// any exit path.
-	next := 0
-	m := p.metrics
-	pending := make(map[int]*scoredBatch, 2*p.depth+p.workers)
-	pendingRecords := 0
-	var cur *scoredBatch
-	defer func() {
-		if cur != nil {
-			rc.putScoredBatch(cur)
-		}
-		for sb := range out {
-			rc.putScoredBatch(sb)
-		}
-		for idx, sb := range pending {
-			rc.putScoredBatch(sb)
-			delete(pending, idx)
-		}
-	}()
-	// deliver runs the stateful detectors over one scored record and
-	// hands it to the sink; false means the replay must stop (sink
-	// error or stall).
-	deliver := func(s *scored) bool {
-		var t0 time.Time
-		if m != nil {
-			t0 = time.Now()
-		}
-		var state ids.SequenceState
-		if s.ft != nil {
-			// Snapshot the stateful detectors BEFORE Sequence mutates
-			// them: the decision record must hold the state the verdict
-			// was judged against.
-			state = p.mon.StateFor(s.frame.ID)
-		}
-		sp := s.ft.StartSpan("pipeline.sequence")
-		verdict := p.mon.Sequence(&s.frame, s.rec.TimeSec, s.det, s.extractErr)
-		sp.End()
-		p.recordsOut.Add(1)
-		if p.recorder != nil {
-			p.recorder.Record(buildDecision(next, s, verdict, state))
-		}
-		err := fn(Result{Index: next, Record: &s.rec, Frame: &s.frame, Verdict: verdict, Trace: s.ft})
-		if m != nil {
-			m.SequenceSeconds.Observe(time.Since(t0).Seconds())
-			m.RecordsOut.Inc()
-		}
-		if err != nil {
-			setErr(err)
-			abort()
-			return false
-		}
-		next++
-		// The watchdog may have fired while this sink call was in
-		// flight; stop delivering rather than racing the draining
-		// stages.
-		return !stalled.Load()
-	}
-	for sb := range out {
-		pending[sb.items[0].idx] = sb
-		pendingRecords += len(sb.items)
-		for {
-			b, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			pendingRecords -= len(b.items)
-			cur = b
-			for i := range cur.items {
-				if !deliver(&cur.items[i]) {
-					return getErr()
-				}
-			}
-			rc.putScoredBatch(cur)
-			cur = nil
-		}
-		if m != nil {
-			m.QueueDepth.Set(int64(pendingRecords))
-			m.PoolOutstanding.Set(rc.outstanding.Load())
+		if p.recordsIn.Load() > p.recordsOut.Load() && time.Since(lastProgress) >= p.stall {
+			p.setErr(ErrStalled)
+			p.abort()
+			return
 		}
 	}
-	if m != nil {
-		m.QueueDepth.Set(0)
-		m.PoolOutstanding.Set(rc.outstanding.Load())
-	}
-	return getErr()
 }
 
 // Sequential replays the source on the calling goroutine, scoring each

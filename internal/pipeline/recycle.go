@@ -60,7 +60,7 @@ func (rc *recycler) getJobBatch() *jobBatch {
 func (rc *recycler) putJobBatch(b *jobBatch) {
 	rc.outstanding.Add(-1)
 	clear(b.jobs) // drop record/trace pointers so the pool retains nothing
-	b.jobs, b.run = b.jobs[:0], nil
+	b.jobs, b.r = b.jobs[:0], nil
 	jobBatchPool.Put(b)
 }
 
@@ -94,7 +94,7 @@ func (rc *recycler) putRaw(r *trace.RawRecord) {
 }
 
 // releaseJobs returns an abandoned job batch and the raw record every
-// job in it still holds (a raw record goes back only once processBatch
+// job in it still holds (a raw record goes back only once score
 // has scored it).
 func (rc *recycler) releaseJobs(b *jobBatch) {
 	for i := range b.jobs {

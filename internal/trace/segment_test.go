@@ -245,15 +245,23 @@ func TestSegmenterResyncsAfterStuckBus(t *testing.T) {
 // record must fit the runaway bound plus lead-in, and its buffer must
 // stay within twice the bound.
 func FuzzSegment(f *testing.F) {
-	// A hijack: ECU 7's transceiver sends ECU 2's message.
+	// The seeds are at most one frame each, about 10 KB: the fuzzer
+	// mutates and minimizes every input it keeps, at a cost that grows
+	// with the input's length. A hijack: ECU 7's transceiver sends ECU
+	// 2's message.
 	fx := newSegFixture(61)
-	fx.send(f, 2)
 	_, wire := fx.frame(f, 2)
 	fx.wire(7, wire)
 	fx.idle(10)
 	f.Add(fx.codes, uint16(4096))
-	idle := newSegFixture(62)
-	idle.idle(400)
+	// A frame cut off by the end of the feed, read a sample at a time.
+	cut := newSegFixture(62)
+	_, wire = cut.frame(f, 0)
+	cut.wire(0, wire[:len(wire)/2])
+	f.Add(cut.codes, uint16(1))
+	// A stretch of idle bus and nothing else.
+	idle := newSegFixture(63)
+	idle.idle(40)
 	f.Add(idle.codes, uint16(1))
 
 	h, cfg := fx.h, fx.cfg
